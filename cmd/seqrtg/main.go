@@ -246,9 +246,9 @@ func cmdAnalyze(args []string) error {
 		opts.SelfReportEvery = *selfReport
 		opts.SelfReport = func(s sequence.MetricsSnapshot) {
 			fmt.Fprintf(os.Stderr,
-				"self-report: %d msgs, %.1f%% parse hits, %d patterns mined, %d decode errors, trie peak %d, %d store patterns, %d store io errors\n",
+				"self-report: %d msgs, %.1f%% parse hits, %d patterns mined, %d decode errors, %d decode fallbacks, trie peak %d, %d store patterns, %d store io errors\n",
 				s.EngineMessages, 100*s.ParseHitRatio(), s.EnginePatternsMined,
-				s.IngestDecodeErrors, s.EngineTrieNodesPeak, s.StorePatterns, s.StoreIOErrors)
+				s.IngestDecodeErrors, s.IngestDecodeFallback, s.EngineTrieNodesPeak, s.StorePatterns, s.StoreIOErrors)
 		}
 	}
 	total, err := rtg.RunContext(ctx, os.Stdin, opts)

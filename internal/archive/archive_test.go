@@ -272,3 +272,53 @@ func TestQuerySeesOpenBlocks(t *testing.T) {
 	}
 	check("sealed")
 }
+
+// TestQueryLimitIsPrefixOfFullQuery pins the limit pushdown: however the
+// timestamps are spread over sealed and open blocks (in order, reversed,
+// tied), a limited query returns exactly the first Limit entries of the
+// unlimited one.
+func TestQueryLimitIsPrefixOfFullQuery(t *testing.T) {
+	a, err := Open("archive", Options{FS: vfs.NewFault(), Shards: 2, BucketSeconds: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	services := []string{"sshd", "nginx", "cron"}
+	n := 0
+	for wave := 0; wave < 6; wave++ {
+		for i := 0; i < 40; i++ {
+			// Waves run backwards in time; inside a wave every fourth
+			// record shares a timestamp and the rest zigzag.
+			ts := t0.Add(time.Duration(5-wave)*time.Minute + time.Duration((i*7)%40/4)*time.Second)
+			mustAppend(t, a, services[i%3], "p-"+string(rune('a'+i%5)), ts, "v", string(rune('0'+n%10)))
+			n++
+		}
+		if wave < 4 { // the last two waves stay in open blocks
+			if err := a.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, q := range []Query{{}, {Service: "nginx"}, {PatternID: "p-c"}, {From: t0.Add(2 * time.Minute), To: t0.Add(5 * time.Minute)}, {Vars: map[int]string{1: "3"}}} {
+		full, err := a.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []int{1, 2, 7, 39, len(full), len(full) + 5} {
+			q.Limit = limit
+			got, err := a.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := full[:min(limit, len(full))]
+			if len(got) != len(want) {
+				t.Fatalf("%+v: served %d entries, want %d", q, len(got), len(want))
+			}
+			for i := range got {
+				if !got[i].Time.Equal(want[i].Time) || got[i].Service != want[i].Service ||
+					got[i].PatternID != want[i].PatternID || strings.Join(got[i].Vars, "\x00") != strings.Join(want[i].Vars, "\x00") {
+					t.Fatalf("%+v: entry %d = %+v, want %+v", q, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -199,11 +199,33 @@ func (a *Archive) Query(q Query) ([]Entry, error) {
 		out, scratch = c.scanBlock(b, out, scratch)
 	}
 	out, _ = a.scanMem(&c, out, scratch)
+	return c.firstByTime(out), nil
+}
+
+// firstByTime sorts out by time, keeping the scan order within one
+// timestamp, and cuts it to the query's limit.
+func (c *compiledQuery) firstByTime(out []Entry) []Entry {
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
+	if c.q.Limit > 0 && len(out) > c.q.Limit {
+		out = out[:c.q.Limit]
 	}
-	return out, nil
+	return out
+}
+
+// keep appends a matching record to out. Under a limit it does not let
+// out grow with the archive: whenever twice the limit is held, out is cut
+// back to the first q.Limit by time and the query's upper bound drops to
+// the time of the last one kept. A record at or after that time would
+// sort behind q.Limit records scanned before it, so it cannot be in the
+// result, and the bound checks that already skip records, block headers
+// and bucket names beyond toNS skip it without building an Entry.
+func (c *compiledQuery) keep(out []Entry, ns int64, service, patternID string, vals [][]byte) []Entry {
+	out = append(out, makeEntry(ns, service, patternID, vals))
+	if c.q.Limit > 0 && len(out) >= 2*c.q.Limit {
+		out = c.firstByTime(out)
+		c.toNS = out[len(out)-1].Time.UnixNano()
+	}
+	return out
 }
 
 // loadBlock returns the decoded block for name, from the cache when
@@ -264,7 +286,7 @@ func (c *compiledQuery) scanBlock(b *blockData, out []Entry, scratch [][]byte) (
 		if !c.matchVars(scratch) {
 			continue
 		}
-		out = append(out, makeEntry(ts, b.service, b.pats[b.pat[i]], scratch))
+		out = c.keep(out, ts, b.service, b.pats[b.pat[i]], scratch)
 	}
 	return out, scratch
 }
@@ -316,7 +338,7 @@ func (c *compiledQuery) scanMemBlock(b *memBlock, out []Entry, scratch [][]byte)
 		if !c.matchVars(scratch) {
 			continue
 		}
-		out = append(out, makeEntry(ts, b.service, id, scratch))
+		out = c.keep(out, ts, b.service, id, scratch)
 	}
 	return out, scratch
 }

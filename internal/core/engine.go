@@ -243,17 +243,26 @@ func (e *Engine) AnalyzeByService(records []ingest.Record, now time.Time) (Batch
 func (e *Engine) AnalyzeByServiceContext(ctx context.Context, records []ingest.Record, now time.Time) (BatchResult, error) {
 	start := time.Now()
 
-	byService := make(map[string][]string)
+	// One map lookup per record: the map holds each service's index into
+	// parts, and the messages append to the slice element in place.
+	type partition struct {
+		svc  string
+		msgs []string
+	}
+	var parts []partition
+	index := make(map[string]int)
 	for _, rec := range records {
-		byService[rec.Service] = append(byService[rec.Service], rec.Message)
+		i, ok := index[rec.Service]
+		if !ok {
+			i = len(parts)
+			index[rec.Service] = i
+			parts = append(parts, partition{svc: rec.Service})
+		}
+		parts[i].msgs = append(parts[i].msgs, rec.Message)
 	}
-	services := make([]string, 0, len(byService))
-	for svc := range byService {
-		services = append(services, svc)
-	}
-	sort.Strings(services)
+	sort.Slice(parts, func(a, b int) bool { return parts[a].svc < parts[b].svc })
 
-	res := BatchResult{Services: len(services)}
+	res := BatchResult{Services: len(parts)}
 
 	// Workers above GOMAXPROCS are allowed: a worker blocked on a shard
 	// lock or journal write is not using its CPU, so modest
@@ -268,12 +277,12 @@ func (e *Engine) AnalyzeByServiceContext(ctx context.Context, records []ingest.R
 		err error
 	}
 	var (
-		outs = make([]svcOut, len(services))
+		outs = make([]svcOut, len(parts))
 		sem  = make(chan struct{}, workers)
 		wg   sync.WaitGroup
 	)
 dispatch:
-	for i, svc := range services {
+	for i, part := range parts {
 		// Checked first: a select with both channels ready picks randomly,
 		// and a cancelled context must deterministically stop dispatch.
 		if ctx.Err() != nil {
@@ -285,12 +294,12 @@ dispatch:
 			break dispatch
 		}
 		wg.Add(1)
-		go func(i int, svc string) {
+		go func(i int, part partition) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r, err := e.analyzeService(svc, byService[svc], now)
+			r, err := e.analyzeService(part.svc, part.msgs, now)
 			outs[i] = svcOut{res: r, err: err}
-		}(i, svc)
+		}(i, part)
 	}
 	wg.Wait()
 	for _, o := range outs {

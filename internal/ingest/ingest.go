@@ -59,8 +59,8 @@ type Options struct {
 	// must not die on one bad message.
 	Strict bool
 	// Metrics receives ingest instrumentation (lines read, decode
-	// errors, batches, batch fill time). A fresh private instance is
-	// used when nil.
+	// errors and fallbacks, batches, batch fill time). A fresh private
+	// instance is used when nil.
 	Metrics *obs.Metrics
 }
 
@@ -82,6 +82,7 @@ type Reader struct {
 	malformed int64
 	oversize  int64
 	lastBad   *BadRecordError
+	services  serviceTable
 	m         *obs.Metrics
 }
 
@@ -100,7 +101,7 @@ func NewReader(r io.Reader, opts Options) *Reader {
 	if m == nil {
 		m = obs.New()
 	}
-	return &Reader{opts: opts, lr: newLineReader(r, opts.MaxLineBytes), m: m}
+	return &Reader{opts: opts, lr: newLineReader(r, opts.MaxLineBytes), services: serviceTable{}, m: m}
 }
 
 // NextBatch returns the next batch of records. The final batch may be
@@ -178,33 +179,11 @@ func (r *Reader) decode(line []byte) (Record, *BadRecordError) {
 	if r.opts.PlainText {
 		return Record{Service: r.opts.DefaultService, Message: string(line)}, nil
 	}
-	return decodeLine(r.lines, line, r.opts.DefaultService)
-}
-
-func decodeLine(lineNo int64, line []byte, defaultService string) (Record, *BadRecordError) {
-	var rec Record
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return Record{}, badRecord(lineNo, line, err)
+	rec, fast, bad := decodeLine(r.lines, line, r.opts.DefaultService, r.services)
+	if !fast {
+		r.m.IngestDecodeFallback.Inc()
 	}
-	if rec.Message == "" {
-		return Record{}, badRecord(lineNo, line, nil)
-	}
-	if rec.Service == "" {
-		rec.Service = defaultService
-	}
-	return rec, nil
-}
-
-// Decode decodes one JSON wire-format line ({"service":...,
-// "message":...}) into a Record, applying defaultService when the line
-// carries no service field. It is the single decoder shared by the
-// stdin Reader and the network listeners; failures match ErrBadRecord.
-func Decode(line []byte, defaultService string) (Record, error) {
-	rec, bad := decodeLine(0, line, defaultService)
-	if bad != nil {
-		return Record{}, bad
-	}
-	return rec, nil
+	return rec, bad
 }
 
 // Records returns how many well-formed records have been read so far.

@@ -36,12 +36,13 @@ import (
 // seqrtg_ string literal outside this block, so an exposition name can
 // never drift from the name a test or dashboard expects.
 const (
-	MetricIngestLines        = "seqrtg_ingest_lines_total"
-	MetricIngestRecords      = "seqrtg_ingest_records_total"
-	MetricIngestDecodeErrors = "seqrtg_ingest_decode_errors_total"
-	MetricIngestOversize     = "seqrtg_ingest_oversize_total"
-	MetricIngestBatches      = "seqrtg_ingest_batches_total"
-	MetricIngestBatchFill    = "seqrtg_ingest_batch_fill_seconds"
+	MetricIngestLines          = "seqrtg_ingest_lines_total"
+	MetricIngestRecords        = "seqrtg_ingest_records_total"
+	MetricIngestDecodeErrors   = "seqrtg_ingest_decode_errors_total"
+	MetricIngestDecodeFallback = "seqrtg_ingest_decode_fallback_total"
+	MetricIngestOversize       = "seqrtg_ingest_oversize_total"
+	MetricIngestBatches        = "seqrtg_ingest_batches_total"
+	MetricIngestBatchFill      = "seqrtg_ingest_batch_fill_seconds"
 
 	MetricServerAccepted      = "seqrtg_server_accepted_total"
 	MetricServerParseErrors   = "seqrtg_server_parse_errors_total"
@@ -352,12 +353,13 @@ type Metrics struct {
 	start time.Time
 
 	// Ingest: the JSON-lines stream reader.
-	IngestLines        Counter    // input lines read, including empty and malformed
-	IngestRecords      Counter    // well-formed records decoded
-	IngestDecodeErrors Counter    // malformed lines skipped (or rejected in strict mode)
-	IngestOversize     Counter    // input lines discarded for exceeding the line-size bound
-	IngestBatches      Counter    // batches handed to analysis
-	IngestBatchFill    *Histogram // seconds to fill one batch from the stream
+	IngestLines          Counter    // input lines read, including empty and malformed
+	IngestRecords        Counter    // well-formed records decoded
+	IngestDecodeErrors   Counter    // malformed lines skipped (or rejected in strict mode)
+	IngestDecodeFallback Counter    // JSON lines that left the fast path for encoding/json
+	IngestOversize       Counter    // input lines discarded for exceeding the line-size bound
+	IngestBatches        Counter    // batches handed to analysis
+	IngestBatchFill      *Histogram // seconds to fill one batch from the stream
 
 	// Server: the network ingestion daemon (syslog + HTTP listeners in
 	// front of a bounded record queue).
@@ -442,12 +444,13 @@ func New() *Metrics {
 type Snapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
-	IngestLines        int64             `json:"ingest_lines"`
-	IngestRecords      int64             `json:"ingest_records"`
-	IngestDecodeErrors int64             `json:"ingest_decode_errors"`
-	IngestOversize     int64             `json:"ingest_oversize"`
-	IngestBatches      int64             `json:"ingest_batches"`
-	IngestBatchFill    HistogramSnapshot `json:"ingest_batch_fill_seconds"`
+	IngestLines          int64             `json:"ingest_lines"`
+	IngestRecords        int64             `json:"ingest_records"`
+	IngestDecodeErrors   int64             `json:"ingest_decode_errors"`
+	IngestDecodeFallback int64             `json:"ingest_decode_fallback"`
+	IngestOversize       int64             `json:"ingest_oversize"`
+	IngestBatches        int64             `json:"ingest_batches"`
+	IngestBatchFill      HistogramSnapshot `json:"ingest_batch_fill_seconds"`
 
 	// The server vectors are keyed by listener name (udp, tcp, http).
 	ServerAccepted      map[string]int64  `json:"server_accepted,omitempty"`
@@ -535,12 +538,13 @@ func (m *Metrics) Snapshot() Snapshot {
 	return Snapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 
-		IngestLines:        m.IngestLines.Value(),
-		IngestRecords:      m.IngestRecords.Value(),
-		IngestDecodeErrors: m.IngestDecodeErrors.Value(),
-		IngestOversize:     m.IngestOversize.Value(),
-		IngestBatches:      m.IngestBatches.Value(),
-		IngestBatchFill:    m.IngestBatchFill.snapshot(),
+		IngestLines:          m.IngestLines.Value(),
+		IngestRecords:        m.IngestRecords.Value(),
+		IngestDecodeErrors:   m.IngestDecodeErrors.Value(),
+		IngestDecodeFallback: m.IngestDecodeFallback.Value(),
+		IngestOversize:       m.IngestOversize.Value(),
+		IngestBatches:        m.IngestBatches.Value(),
+		IngestBatchFill:      m.IngestBatchFill.snapshot(),
 
 		ServerAccepted:      listenerMap(&m.ServerAccepted),
 		ServerParseErrors:   listenerMap(&m.ServerParseErrors),
@@ -638,6 +642,7 @@ func (m *Metrics) descs() []metricDesc {
 		{name: MetricIngestLines, help: "Input lines read from the stream, including empty and malformed ones.", kind: "counter", c: &m.IngestLines},
 		{name: MetricIngestRecords, help: "Well-formed records decoded from the stream.", kind: "counter", c: &m.IngestRecords},
 		{name: MetricIngestDecodeErrors, help: "Malformed input lines skipped (or rejected in strict mode).", kind: "counter", c: &m.IngestDecodeErrors},
+		{name: MetricIngestDecodeFallback, help: "JSON lines outside the plain wire shape, left to encoding/json to decode or reject.", kind: "counter", c: &m.IngestDecodeFallback},
 		{name: MetricIngestOversize, help: "Input lines discarded for exceeding the line-size bound.", kind: "counter", c: &m.IngestOversize},
 		{name: MetricIngestBatches, help: "Batches handed from the ingester to analysis.", kind: "counter", c: &m.IngestBatches},
 		{name: MetricIngestBatchFill, help: "Seconds spent filling one batch from the input stream.", kind: "histogram", h: m.IngestBatchFill},

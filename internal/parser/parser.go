@@ -140,11 +140,10 @@ func (sh *pshard) addLocked(pat *patterns.Pattern) bool {
 }
 
 // Replace swaps the full pattern set: the new per-shard indexes are
-// built off-line and each shard published under its write lock, so a
-// concurrent Match — which reads exactly one service, hence one shard —
-// sees either the complete old set or the complete new set for that
-// service, never a half-merged one. This is what makes MergeFrom safe
-// against concurrent parsing.
+// built off-line and all shards published together under their write
+// locks, so concurrent Matches see either the complete old set or the
+// complete new set, never a half-merged one, within a service and across
+// services. This is what makes MergeFrom safe against concurrent parsing.
 func (p *Parser) Replace(pats []*patterns.Pattern) {
 	fresh := make([]*pshard, len(p.shards))
 	for i := range fresh {
@@ -166,18 +165,36 @@ func (p *Parser) Replace(pats []*patterns.Pattern) {
 		fresh[idx].addLocked(pat)
 		fresh[idx].mu.Unlock()
 	}
+	// Every shard is published under all the write locks at once: a
+	// reader that finds one service's new set finds every other
+	// service's too, whichever shards they hash to.
+	p.lockAll()
 	var total int64
 	for i, sh := range p.shards {
-		sh.mu.Lock()
 		sh.index = fresh[i].index
 		sh.byID = fresh[i].byID
 		sh.exact = nil
 		sh.exactN = 0
 		total += int64(len(sh.byID))
-		sh.mu.Unlock()
 	}
+	p.unlockAll()
 	p.count.Store(total)
 	p.m.ParserPatterns.Set(total)
+}
+
+// lockAll acquires every shard's write lock in ascending order; nothing
+// else holds two shard locks, so the order cannot deadlock. unlockAll
+// releases them.
+func (p *Parser) lockAll() {
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+	}
+}
+
+func (p *Parser) unlockAll() {
+	for _, sh := range p.shards {
+		sh.mu.Unlock()
+	}
 }
 
 // Remove deletes a pattern by ID and reports whether it was present.
@@ -332,10 +349,11 @@ func (p *Parser) CacheExact(service, msg string, pat *patterns.Pattern) {
 		svc = make(map[string]*patterns.Pattern)
 		sh.exact[service] = svc
 	}
-	if _, dup := svc[msg]; !dup {
-		svc[msg] = pat
-		sh.exactN++
-	}
+	// One hash of the message, not a lookup and then an insert: on fresh
+	// traffic nearly every call adds an entry.
+	before := len(svc)
+	svc[msg] = pat
+	sh.exactN += len(svc) - before
 }
 
 // All returns a snapshot of every registered pattern.

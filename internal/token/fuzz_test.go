@@ -117,6 +117,9 @@ func FuzzTimeFSM(f *testing.F) {
 	f.Add("2021-09-01 12:00:00.123", false)
 	f.Add("Jun  2 03:04:05", true)
 	f.Add("0:7:20:444", true)
+	for i, seed := range TimeGateCases() {
+		f.Add(seed, i%2 == 0)
+	}
 	f.Fuzz(func(t *testing.T, s string, unpadded bool) {
 		for i := 0; i <= len(s) && i < 64; i++ {
 			end, ok := matchTime([]byte(s), i, unpadded)

@@ -95,6 +95,18 @@ func TestScanParityWorkload(t *testing.T) {
 	}
 }
 
+// TestScanParityTimeGates runs the differential check over the strings
+// that sit on either side of each class-table and layout-index decision,
+// for every layout: a gate that wrongly rejects (or an index that tries
+// too few layouts) diverges from the reference, which tries them all.
+func TestScanParityTimeGates(t *testing.T) {
+	for _, msg := range token.TimeGateCases() {
+		for _, cfg := range parityConfigs {
+			assertParity(t, msg, cfg)
+		}
+	}
+}
+
 // FuzzScanParity extends the differential check to arbitrary bytes: for
 // any input whatsoever, the redesigned scanner and the frozen reference
 // must emit identical token streams.
@@ -111,6 +123,9 @@ func FuzzScanParity(f *testing.F) {
 		"\x00\x01\xff binary-ish",
 		"10.0.0.1:514 1.2.3.4:0",
 	} {
+		f.Add(seed)
+	}
+	for _, seed := range token.TimeGateCases() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, msg string) {

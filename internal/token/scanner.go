@@ -2,14 +2,53 @@ package token
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 )
 
 // hard delimiters always form their own single-byte literal token.
 const hardDelims = `()[]{}"',;=<>|`
 
-func isHardDelim(c byte) bool { return strings.IndexByte(hardDelims, c) >= 0 }
+// Byte classes. scanInto looks up the class of the byte at each token
+// start once and enters an FSM only when that byte can begin one of its
+// matches, so text that holds no timestamp or URL never pays for their
+// reject paths. The table is derived at init from hardDelims,
+// timeLayouts and urlSchemes, which stay the only place each is listed.
+const (
+	clSpace     byte = 1 << iota // ' ' and '\t'
+	clEOL                        // '\n' and '\r'
+	clHard                       // one of hardDelims
+	clHex                        // may begin a hexadecimal FSM match
+	clTimeDigit                  // a digit: may begin a layout of timeIndex
+	clTimeOther                  // may begin one of timeOther
+	clURL                        // initial of one of urlSchemes
+
+	clWordEnd = clSpace | clEOL | clHard
+)
+
+var class = func() (t [256]byte) {
+	t[' '], t['\t'] = clSpace, clSpace
+	t['\n'], t['\r'] = clEOL, clEOL
+	for i := 0; i < len(hardDelims); i++ {
+		t[hardDelims[i]] |= clHard
+	}
+	for c := range t {
+		if isHexDigit(byte(c)) || c == ':' {
+			t[c] |= clHex
+		}
+		if isDigit(byte(c)) {
+			t[c] |= clTimeDigit
+		}
+	}
+	for _, l := range timeOther {
+		for _, c := range firstBytes(l.pattern[0]) {
+			t[c] |= clTimeOther
+		}
+	}
+	for _, s := range urlSchemes {
+		t[s[0]] |= clURL
+	}
+	return t
+}()
 
 // Config enables the optional scanner extensions from the paper's
 // future-work section (§VI). The zero value is the published Sequence-RTG
@@ -113,13 +152,13 @@ func (s *Scanner) scanInto(dst []Token, src []byte) []Token {
 	spaceBefore := false
 
 	for i < len(src) {
-		c := src[i]
-		if isSpace(c) {
+		cl := class[src[i]]
+		if cl&clSpace != 0 {
 			spaceBefore = true
 			i++
 			continue
 		}
-		if c == '\n' || c == '\r' {
+		if cl&clEOL != 0 {
 			// Multi-line message: pattern covers the first line only.
 			if len(bytes.TrimSpace(src[i:])) != 0 {
 				dst = append(dst, Token{Type: TailAny, SpaceBefore: spaceBefore})
@@ -130,7 +169,7 @@ func (s *Scanner) scanInto(dst []Token, src []byte) []Token {
 		// Hexadecimal FSM first: a MAC address contains colon-separated
 		// pairs that the datetime FSM would otherwise claim as a clock
 		// time ("12:34:56:78:9a:bc").
-		if isHexDigit(c) || c == ':' {
+		if cl&clHex != 0 {
 			if end, typ, ok := matchHex(src, i); ok {
 				dst = append(dst, Token{Type: typ, Span: src[i:end], SpaceBefore: spaceBefore})
 				i = end
@@ -140,17 +179,19 @@ func (s *Scanner) scanInto(dst []Token, src []byte) []Token {
 		}
 		// Datetime FSM next: timestamps span spaces and colons that the
 		// general FSM would split.
-		if end, ok := matchTime(src, i, s.Config.UnpaddedTimes); ok {
-			dst = append(dst, Token{Type: Time, Span: src[i:end], SpaceBefore: spaceBefore})
-			i = end
-			spaceBefore = false
-			continue
+		if cl&(clTimeDigit|clTimeOther) != 0 {
+			if end, ok := matchTime(src, i, s.Config.UnpaddedTimes); ok {
+				dst = append(dst, Token{Type: Time, Span: src[i:end], SpaceBefore: spaceBefore})
+				i = end
+				spaceBefore = false
+				continue
+			}
 		}
 		// URLs run to the next whitespace even across hard delimiters
 		// (query strings contain '=' and '&').
-		if hasURLScheme(src[i:]) {
+		if cl&clURL != 0 && hasURLScheme(src[i:]) {
 			end := i
-			for end < len(src) && !isSpace(src[end]) && src[end] != '\n' && src[end] != '\r' {
+			for end < len(src) && class[src[end]]&(clSpace|clEOL) == 0 {
 				end++
 			}
 			dst = append(dst, Token{Type: URL, Span: src[i:end], SpaceBefore: spaceBefore})
@@ -159,7 +200,7 @@ func (s *Scanner) scanInto(dst []Token, src []byte) []Token {
 			continue
 		}
 		// Hard delimiters are single-byte literal tokens.
-		if isHardDelim(c) {
+		if cl&clHard != 0 {
 			dst = append(dst, Token{Type: Literal, Span: src[i : i+1], SpaceBefore: spaceBefore})
 			i++
 			spaceBefore = false
@@ -168,8 +209,8 @@ func (s *Scanner) scanInto(dst []Token, src []byte) []Token {
 
 		// General FSM: read a word up to whitespace or a hard delimiter,
 		// then classify it.
-		end := i
-		for end < len(src) && !isSpace(src[end]) && src[end] != '\n' && src[end] != '\r' && !isHardDelim(src[end]) {
+		end := i + 1
+		for end < len(src) && class[src[end]]&clWordEnd == 0 {
 			end++
 		}
 		dst = s.emitWord(dst, src[i:end], spaceBefore)
@@ -207,6 +248,9 @@ func (s *Scanner) emitWord(dst []Token, word []byte, spaceBefore bool) []Token {
 	return dst
 }
 
+// classifyAndAppend types one word. It has no URL case: scanInto claims a
+// scheme-led run before it reads a word, so a word never starts with one.
+//
 //seqrtg:noalloc
 func (s *Scanner) classifyAndAppend(dst []Token, word []byte, spaceBefore bool) []Token {
 	switch {
@@ -216,8 +260,6 @@ func (s *Scanner) classifyAndAppend(dst []Token, word []byte, spaceBefore bool) 
 		return append(dst, Token{Type: Float, Span: word, SpaceBefore: spaceBefore})
 	case isIPv4Word(word):
 		return append(dst, Token{Type: IPv4, Span: word, SpaceBefore: spaceBefore})
-	case isURLWord(word):
-		return append(dst, Token{Type: URL, Span: word, SpaceBefore: spaceBefore})
 	default:
 		// IPv4 with a port: "10.0.0.1:8080" -> ipv4, ":", integer.
 		if ip, sep, port, ok := splitIPPort(word); ok {
@@ -333,13 +375,11 @@ func splitIPPort(w []byte) (ip, sep, port []byte, ok bool) {
 
 var urlSchemes = []string{"http://", "https://", "ftp://", "ftps://", "file://", "ssh://", "ldap://", "ldaps://", "nfs://", "smb://"}
 
-func isURLWord(w []byte) bool {
-	return hasURLScheme(w) && len(w) > 0
-}
-
+// hasURLScheme reports whether w is one of urlSchemes followed by at
+// least one more byte.
 func hasURLScheme(w []byte) bool {
 	for _, s := range urlSchemes {
-		if len(w) > len(s) && string(w[:len(s)]) == s {
+		if len(w) > len(s) && w[0] == s[0] && string(w[:len(s)]) == s {
 			return true
 		}
 	}

@@ -25,14 +25,17 @@ package token
 // this exact limitation on the HealthApp dataset (§IV, Limitations) and the
 // accuracy harness depends on reproducing it.
 
+import "strings"
+
 type timeLayout struct {
 	pattern string
 	frac    bool // allow .123 / ,123 fractional seconds
 	tz      bool // allow " +0200" / " -0700" / "Z"
 }
 
-// timeLayouts is ordered longest-first so that the scanner prefers the most
-// specific match; matchTime nevertheless verifies all and keeps the longest.
+// timeLayouts lists every recognised layout; the order carries no meaning.
+// matchTime commits to the longest match among the layouts that timeIndex
+// and timeOther (both derived from this table) admit at a position.
 var timeLayouts = []timeLayout{
 	// RFC3339 and ISO-8601 variants.
 	{pattern: "dddd-dd-ddTdd:dd:dd", frac: true, tz: true},
@@ -79,6 +82,66 @@ var weekdayNames = [...]string{
 	"Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun",
 }
 
+// timeBucket holds the layouts that share a first digit group's width and
+// the literal byte after it, each cut down to what follows that byte.
+type timeBucket struct {
+	sep   byte
+	tails []timeLayout
+}
+
+// timeIndex[w] buckets the layouts that open with a group of w digits and
+// then a literal byte; timeOther holds every other layout whole. Only an
+// indexed layout whose width and separator agree with the input's leading
+// digit run can match there, so matchTime interprets no other.
+var timeIndex, timeOther = func() (index [][]timeBucket, other []timeLayout) {
+layouts:
+	for _, l := range timeLayouts {
+		w := 0
+		for w < len(l.pattern) && l.pattern[w] == 'd' {
+			w++
+		}
+		if w == 0 || w == len(l.pattern) || strings.IndexByte("eMW", l.pattern[w]) >= 0 {
+			other = append(other, l)
+			continue
+		}
+		for len(index) <= w {
+			index = append(index, nil)
+		}
+		tail := timeLayout{pattern: l.pattern[w+1:], frac: l.frac, tz: l.tz}
+		for k := range index[w] {
+			if b := &index[w][k]; b.sep == l.pattern[w] {
+				b.tails = append(b.tails, tail)
+				continue layouts
+			}
+		}
+		index[w] = append(index[w], timeBucket{sep: l.pattern[w], tails: []timeLayout{tail}})
+	}
+	return index, other
+}()
+
+// firstBytes returns the bytes the layout pattern element p accepts.
+func firstBytes(p byte) []byte {
+	switch p {
+	case 'd':
+		return []byte("0123456789")
+	case 'e':
+		return []byte(" 0123456789")
+	case 'M':
+		return initials(monthNames[:])
+	case 'W':
+		return initials(weekdayNames[:])
+	}
+	return []byte{p}
+}
+
+func initials(names []string) []byte {
+	var b []byte
+	for _, n := range names {
+		b = append(b, n[0])
+	}
+	return b
+}
+
 // matchTime attempts to match a timestamp starting at s[i]. It returns the
 // end offset (exclusive) of the longest layout match, or ok == false when
 // no layout matches. The byte following the match must not be alphanumeric
@@ -89,10 +152,42 @@ var weekdayNames = [...]string{
 // future-work fix for HealthApp-style timestamps, off by default to stay
 // faithful to the published FSM.
 func matchTime(s []byte, i int, unpadded bool) (end int, ok bool) {
-	best := -1
-	for _, l := range timeLayouts {
-		if e, m := matchLayout(s, i, l, unpadded); m && e > best {
-			best = e
+	if i >= len(s) {
+		return 0, false
+	}
+	best, cl := -1, class[s[i]]
+	if cl&clTimeDigit != 0 {
+		// Measure the leading digit run and the byte after it once. A
+		// first group of width w takes exactly w digits, or, unpadded and
+		// w <= 3, fewer; either way the separator must follow the run.
+		n := 1
+		for n < len(timeIndex) && i+n < len(s) && isDigit(s[i+n]) {
+			n++
+		}
+		if n < len(timeIndex) && i+n < len(s) {
+			widest := n
+			if unpadded && n < 3 {
+				widest = 3
+			}
+			for w := n; w <= widest && w < len(timeIndex); w++ {
+				for _, b := range timeIndex[w] {
+					if b.sep != s[i+n] {
+						continue
+					}
+					for _, l := range b.tails {
+						if e, m := matchLayout(s, i+n+1, l, unpadded); m && e > best {
+							best = e
+						}
+					}
+				}
+			}
+		}
+	}
+	if cl&clTimeOther != 0 {
+		for _, l := range timeOther {
+			if e, m := matchLayout(s, i, l, unpadded); m && e > best {
+				best = e
+			}
 		}
 	}
 	if best < 0 {

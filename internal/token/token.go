@@ -267,5 +267,3 @@ func isHexDigit(c byte) bool {
 func isAlpha(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' }

@@ -106,6 +106,9 @@ func TestRunReconcilesIngestMetrics(t *testing.T) {
 	if s.IngestDecodeErrors != 1 {
 		t.Errorf("IngestDecodeErrors = %d, want 1", s.IngestDecodeErrors)
 	}
+	if s.IngestDecodeFallback != 1 { // the malformed line alone left the plain wire shape
+		t.Errorf("IngestDecodeFallback = %d, want 1", s.IngestDecodeFallback)
+	}
 	if s.IngestLines != 27 { // 25 records + 1 malformed + 1 empty
 		t.Errorf("IngestLines = %d, want 27", s.IngestLines)
 	}
@@ -136,6 +139,7 @@ func TestWriteMetricsPrometheusExposition(t *testing.T) {
 	// Every pipeline stage must be covered.
 	for _, name := range []string{
 		obs.MetricIngestLines,
+		obs.MetricIngestDecodeFallback,
 		obs.MetricEngineMessages,
 		obs.MetricEngineParseHits,
 		obs.MetricEngineBatchDuration + "_bucket",
