@@ -199,28 +199,22 @@ func TestCLIJournalDump(t *testing.T) {
 	bin := buildTools(t)
 
 	// Hand-craft a journal mixing both encodings plus the torn tail a
-	// crash leaves: one v1 JSON line, one v2 binary frame, half a frame.
+	// crash leaves: the first v1 JSON line of the committed legacy
+	// database, one v2 binary frame, half a frame.
+	legacy, err := os.ReadFile("testdata/legacy-v1/journal.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := legacy[:bytes.IndexByte(legacy, '\n')+1]
 	p, err := sequence.PatternFromText("connection closed by peer", "sshd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := codec.For(codec.FormatV1)
+	buf, err = codec.AppendRecord(buf, &codec.Record{Op: codec.OpTouch, ID: p.ID, N: 7, E: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := codec.For(codec.FormatV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := v1.AppendRecord(nil, &codec.Record{Op: codec.OpUpsert, Pattern: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err = v2.AppendRecord(buf, &codec.Record{Op: codec.OpTouch, ID: p.ID, N: 7, E: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn, err := v2.AppendRecord(nil, &codec.Record{Op: codec.OpDelete, ID: p.ID})
+	torn, err := codec.AppendRecord(nil, &codec.Record{Op: codec.OpDelete, ID: p.ID})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,7 @@
 //
 //	loggen corpus -count 1000 [-seed 1] [-services 241] [-format text|jsonl]
 //	    emits a deterministic fixed-seed corpus to stdout: the exact same
-//	    (seed, count, services) always produces the exact same bytes. This
-//	    is the shared corpus mode used by cmd/seqbench and by the fuzz
-//	    seed corpora — benchmarks and fuzzing exercise identical input.
+//	    (seed, count, services) always produces the exact same bytes.
 package main
 
 import (

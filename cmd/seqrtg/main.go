@@ -173,7 +173,6 @@ func cmdAnalyze(args []string) error {
 	threshold := fs.Int64("save-threshold", 0, "drop patterns matched fewer times in their discovery batch")
 	concurrency := fs.Int("concurrency", 1, "services analysed in parallel")
 	shards := fs.Int("shards", 0, "store/parser shard count (0 = GOMAXPROCS)")
-	journal := fs.String("journal-format", "", "journal record encoding: v2 (binary, default) or v1 (legacy JSON lines)")
 	archiveOn := fs.Bool("archive", false, "archive matched messages as compressed (pattern ID, variables) blocks under <db>/archive")
 	archiveRetention := fs.Duration("archive-retention", 0, "age out archive blocks older than this horizon on flush (0 = keep forever)")
 	mf := newMaskFlags(fs)
@@ -187,7 +186,6 @@ func cmdAnalyze(args []string) error {
 		sequence.WithSaveThreshold(*threshold),
 		sequence.WithConcurrency(*concurrency),
 		sequence.WithStoreShards(*shards),
-		sequence.WithJournalFormat(sequence.JournalFormat(*journal)),
 	}
 	if *archiveOn {
 		dbOpts = append(dbOpts, sequence.WithArchive())
@@ -281,7 +279,6 @@ func cmdServe(args []string) error {
 	threshold := fs.Int64("save-threshold", 0, "drop patterns matched fewer times in their discovery batch")
 	concurrency := fs.Int("concurrency", 1, "services analysed in parallel")
 	shards := fs.Int("shards", 0, "store/parser shard count (0 = GOMAXPROCS)")
-	journal := fs.String("journal-format", "", "journal record encoding: v2 (binary, default) or v1 (legacy JSON lines)")
 	archiveOn := fs.Bool("archive", false, "archive matched messages and serve GET /api/v1/query over them")
 	archiveRetention := fs.Duration("archive-retention", 0, "age out archive blocks older than this horizon on flush (0 = keep forever)")
 	mf := newMaskFlags(fs)
@@ -293,7 +290,6 @@ func cmdServe(args []string) error {
 		sequence.WithSaveThreshold(*threshold),
 		sequence.WithConcurrency(*concurrency),
 		sequence.WithStoreShards(*shards),
-		sequence.WithJournalFormat(sequence.JournalFormat(*journal)),
 	}
 	if *archiveOn {
 		dbOpts = append(dbOpts, sequence.WithArchive())

@@ -1,11 +1,11 @@
 // Package journalcodec enforces the store's record-encoding seam: the
 // journal's on-disk encoding is owned by internal/store/codec, and the
 // only legal way to render or parse a journal record (codec.Record) or
-// snapshot envelope (codec.Snapshot) is through that package's Codec,
-// Reader and snapshot functions. A direct json.Marshal of a Record
-// elsewhere silently re-creates the v1 wire format — it round-trips
-// today, bypasses the version negotiation, the CRC framing and the
-// batch encoder, and diverges the moment the codec evolves.
+// snapshot envelope (codec.Snapshot) is through that package's
+// AppendRecord, Reader and snapshot functions. A direct json.Marshal of
+// a Record elsewhere silently re-creates the retired v1 wire format — it
+// still replays, but it bypasses the CRC framing and the batch encoder,
+// and diverges the moment the codec evolves.
 package journalcodec
 
 import (
@@ -41,7 +41,7 @@ func run(pass *framework.Pass) error {
 				return true
 			}
 			if name := codecTypeName(pass.TypesInfo.Types[arg].Type); name != "" {
-				pass.Reportf(call.Pos(), "%s of codec.%s outside internal/store/codec: journal encoding goes through the versioned codec layer (codec.Codec / codec.Reader)", fn, name)
+				pass.Reportf(call.Pos(), "%s of codec.%s outside internal/store/codec: journal encoding goes through the codec layer (codec.AppendRecord / codec.Reader)", fn, name)
 			}
 			return true
 		})

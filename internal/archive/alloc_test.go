@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/testenv"
 	"repro/internal/vfs"
 )
 
@@ -12,10 +13,10 @@ import (
 // in-memory block is a map lookup, four amortized column appends and
 // two metric bumps. The seal threshold is set above the workload so no
 // measured iteration pays for a flush, and the block's columns are
-// grown past their final size by a warm-up pass first. seqbench reports
-// the same figure (stage "archive_append", allocs_per_msg).
+// grown past their final size by a warm-up pass first. bench/ prices the
+// same path as archive.append_ns_per_rec.
 func TestAppendZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	a, err := Open("archive", Options{FS: vfs.NewFault(), Shards: 1, FlushRecords: 1 << 30})
@@ -49,7 +50,7 @@ func TestAppendZeroAllocs(t *testing.T) {
 // slice and the materialized strings per record) plus a bounded number
 // of bookkeeping slices — not a fresh decompression.
 func TestQueryDecodeAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	a, err := Open("archive", Options{FS: vfs.NewFault(), Shards: 1})

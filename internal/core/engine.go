@@ -62,11 +62,6 @@ type Config struct {
 	// Scanner enables the optional scanner extensions (unpadded times,
 	// path FSM); the zero value is the published scanner.
 	Scanner token.Config
-	// DisableExactCache turns off the parser's verbatim-message cache
-	// (repeated byte-identical messages skip scanning and matching).
-	// Useful on memory-constrained deployments and for benchmarking the
-	// uncached path; the default (false) keeps the cache on.
-	DisableExactCache bool
 	// Metrics receives engine, parser and store instrumentation. A fresh
 	// private instance is used when nil, so instrumentation is always on
 	// and callers that do not care pay only the atomic adds.
@@ -391,18 +386,14 @@ func (e *Engine) analyzeService(svc string, msgs []string, now time.Time) (Batch
 	for _, msg := range msgs {
 		// Repetitive traffic fast path: a byte-identical message seen since
 		// the last pattern mutation skips scanning and matching entirely.
-		if !e.cfg.DisableExactCache {
-			if p, ok := e.parser.MatchExact(svc, msg); ok {
-				record(p, msg)
-				archiveAdd(p, msg, nil)
-				continue
-			}
+		if p, ok := e.parser.MatchExact(svc, msg); ok {
+			record(p, msg)
+			archiveAdd(p, msg, nil)
+			continue
 		}
 		toks := token.Enrich(s.Scan(msg))
 		if p, ok := e.parser.Match(svc, toks); ok {
-			if !e.cfg.DisableExactCache {
-				e.parser.CacheExact(svc, msg, p)
-			}
+			e.parser.CacheExact(svc, msg, p)
 			record(p, msg)
 			archiveAdd(p, msg, toks)
 			continue

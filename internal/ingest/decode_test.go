@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/testenv"
 )
 
 // referenceDecode is the decoder as it was before the fast path: pure
@@ -110,7 +112,7 @@ func FuzzDecodeParity(f *testing.F) {
 // stage: a plain line costs its message string and nothing else once the
 // reader has seen the service.
 func TestDecodeAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	lines := make([][]byte, 64)

@@ -3,6 +3,8 @@ package mask
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/testenv"
 )
 
 // TestMaskPathAllocs pins the masking hot path's allocation behaviour:
@@ -16,9 +18,9 @@ import (
 //   - A matching message with the cache disabled — the worst case, a
 //     full rewrite every call — stays within a small fixed budget.
 //
-// seqbench reports the same figures (stage "mask", allocs_per_msg).
+// bench/ prices the same path as mask.ns_per_msg.
 func TestMaskPathAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	rules, err := ParseRules(strings.NewReader(`redact \bssn-\d{9}\b`))

@@ -80,7 +80,6 @@ const (
 	MetricStoreBatchRecords       = "seqrtg_store_batch_records_total"
 	MetricStoreBatchCoalesced     = "seqrtg_store_batch_coalesced_total"
 	MetricStoreBatchBytes         = "seqrtg_store_batch_bytes_total"
-	MetricStoreJournalFormat      = "seqrtg_store_journal_format"
 
 	MetricArchiveBlocks      = "seqrtg_archive_blocks_total"
 	MetricArchiveRecords     = "seqrtg_archive_records_total"
@@ -402,7 +401,6 @@ type Metrics struct {
 	StoreBatchRecords       Counter    // journal records written through ApplyBatch group commits
 	StoreBatchCoalesced     Counter    // touch operations folded into an already-pending record of the same pattern
 	StoreBatchBytes         Counter    // journal bytes written by ApplyBatch group commits
-	StoreJournalFormat      Gauge      // journal format version in effect (1 = JSON lines, 2 = binary frames)
 
 	// Archive: the pattern-aware compressed log archive.
 	ArchiveBlocks      Counter // block files sealed and published
@@ -489,7 +487,6 @@ type Snapshot struct {
 	StoreBatchRecords       int64             `json:"store_batch_records"`
 	StoreBatchCoalesced     int64             `json:"store_batch_coalesced"`
 	StoreBatchBytes         int64             `json:"store_batch_bytes"`
-	StoreJournalFormat      int64             `json:"store_journal_format"`
 
 	ArchiveBlocks      int64 `json:"archive_blocks"`
 	ArchiveRecords     int64 `json:"archive_records"`
@@ -582,7 +579,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		StoreBatchRecords:       m.StoreBatchRecords.Value(),
 		StoreBatchCoalesced:     m.StoreBatchCoalesced.Value(),
 		StoreBatchBytes:         m.StoreBatchBytes.Value(),
-		StoreJournalFormat:      m.StoreJournalFormat.Value(),
 
 		ArchiveBlocks:      m.ArchiveBlocks.Value(),
 		ArchiveRecords:     m.ArchiveRecords.Value(),
@@ -683,7 +679,6 @@ func (m *Metrics) descs() []metricDesc {
 		{name: MetricStoreBatchRecords, help: "Journal records written through ApplyBatch group commits.", kind: "counter", c: &m.StoreBatchRecords},
 		{name: MetricStoreBatchCoalesced, help: "Touch operations folded into an already-pending record of the same pattern by batch coalescing.", kind: "counter", c: &m.StoreBatchCoalesced},
 		{name: MetricStoreBatchBytes, help: "Journal bytes written by ApplyBatch group commits.", kind: "counter", c: &m.StoreBatchBytes},
-		{name: MetricStoreJournalFormat, help: "Journal format version in effect (1 = JSON lines, 2 = binary frames).", kind: "gauge", g: &m.StoreJournalFormat},
 
 		{name: MetricArchiveBlocks, help: "Archive block files sealed and published.", kind: "counter", c: &m.ArchiveBlocks},
 		{name: MetricArchiveRecords, help: "Matched messages appended to the archive.", kind: "counter", c: &m.ArchiveRecords},

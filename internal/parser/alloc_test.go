@@ -3,16 +3,17 @@ package parser
 import (
 	"testing"
 
+	"repro/internal/testenv"
 	"repro/internal/token"
 )
 
 // TestParseHitAllocBudget is the committed allocation budget of the
 // parse-hit stage: scanning, enriching and matching a message whose
 // pattern is registered must stay within one allocation per message
-// (steady state, pooled scanner). seqbench reports the same figure
-// (stage "parse_hit", allocs_per_msg).
+// (steady state, pooled scanner). bench/ prices the match step as
+// parser.match_ns_per_msg.
 func TestParseHitAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	p := New()
@@ -37,7 +38,7 @@ func TestParseHitAllocBudget(t *testing.T) {
 // TestMatchExactZeroAllocs pins the verbatim-cache fast path at zero
 // allocations: a cache hit is two map lookups and two counter bumps.
 func TestMatchExactZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	p := New()

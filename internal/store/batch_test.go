@@ -2,15 +2,19 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/patterns"
 	"repro/internal/store/codec"
+	"repro/internal/testenv"
 	"repro/internal/vfs"
 )
 
@@ -126,8 +130,8 @@ func TestApplyBatchCoalesces(t *testing.T) {
 	if snap.StoreBatchRecords != 4 || snap.StoreBatchCoalesced != 2 {
 		t.Fatalf("batch metrics records=%d coalesced=%d, want 4 and 2", snap.StoreBatchRecords, snap.StoreBatchCoalesced)
 	}
-	if snap.StoreBatchBytes == 0 || snap.StoreJournalFormat != 2 {
-		t.Fatalf("batch bytes=%d format=%d, want >0 and 2", snap.StoreBatchBytes, snap.StoreJournalFormat)
+	if snap.StoreBatchBytes == 0 {
+		t.Fatal("batch bytes = 0, want > 0")
 	}
 
 	// The batch survives a crash after the Flush barrier.
@@ -194,68 +198,120 @@ func TestApplyBatchClosed(t *testing.T) {
 	}
 }
 
-// TestJournalFormatV1 keeps the legacy format selectable: a store
-// opened with JournalV1 writes JSON-line records byte-compatible with
-// the pre-codec layout.
+// TestJournalFormatV1 keeps the legacy format readable at the store
+// layer: the committed v1 database (sharded JSON-line journals plus a
+// pre-sharding journal.wal) opens with exactly the patterns the last v1
+// writer read back from it, and everything the store writes afterwards
+// is v2 frames.
 func TestJournalFormatV1(t *testing.T) {
-	fsys := vfs.NewFault()
-	st, err := OpenOptions("db", Options{Shards: 1, Journal: JournalV1, FS: fsys})
+	const fixture = "../../testdata/legacy-v1"
+	dir := t.TempDir()
+	entries, err := os.ReadDir(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Format() != JournalV1 {
-		t.Fatalf("format = %s, want v1", st.Format())
+	sawV1 := false
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(e.Name(), "journal") {
+			_, fmts := readJournal(t, data)
+			for i, f := range fmts {
+				if f != codec.FormatV1 {
+					t.Fatalf("fixture %s record %d is %s, want v1", e.Name(), i, f)
+				}
+			}
+			sawV1 = sawV1 || len(fmts) > 0
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p := pat(t, "legacy %string%", "svc")
-	if err := st.Upsert(p); err != nil {
+	if !sawV1 {
+		t.Fatal("fixture holds no v1 journal records")
+	}
+	raw, err := os.ReadFile("../../testdata/legacy-v1.golden.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ApplyBatch("svc", []Op{{Kind: OpTouch, ID: p.ID, N: 3, When: t0}}); err != nil {
+	var want []struct {
+		ID       string   `json:"id"`
+		Service  string   `json:"service"`
+		Count    int64    `json:"count"`
+		Examples []string `json:"examples"`
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	check := func(st *Store) {
+		t.Helper()
+		for _, w := range want {
+			got, ok := st.Get(w.ID)
+			if !ok {
+				t.Fatalf("pattern %s lost reading the v1 database", w.ID)
+			}
+			if got.Service != w.Service || got.Count != w.Count || !slices.Equal(got.Examples, w.Examples) {
+				t.Fatalf("pattern %s = %s/%d %q, want %s/%d %q", w.ID,
+					got.Service, got.Count, got.Examples, w.Service, w.Count, w.Examples)
+			}
+		}
+	}
+
+	st, err := OpenOptions(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Count() != len(want) {
+		t.Fatalf("v1 database opened with %d patterns, want %d", st.Count(), len(want))
+	}
+	check(st)
+	p := pat(t, "after upgrade %string%", "svc")
+	if err := st.Upsert(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := fsys.ReadFile("db/journal-000.wal")
+	names, err := filepath.Glob(filepath.Join(dir, "journal*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte(`{"op":"upsert"`)) {
-		t.Fatalf("v1 journal does not start with a JSON record: %q", data[:min(len(data), 40)])
-	}
-	_, fmts := readJournal(t, data)
-	for i, f := range fmts {
-		if f != codec.FormatV1 {
-			t.Fatalf("record %d encoded as %s under JournalV1", i, f)
+	recs := 0
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, fmts := readJournal(t, data)
+		for i, f := range fmts {
+			if f != codec.FormatV2 {
+				t.Fatalf("%s record %d still %s after the v1 open", filepath.Base(name), i, f)
+			}
+		}
+		recs += len(got)
 	}
-	if st.m.Snapshot().StoreJournalFormat != 1 {
-		t.Fatalf("journal format gauge = %d, want 1", st.m.Snapshot().StoreJournalFormat)
+	if recs == 0 {
+		t.Fatal("post-upgrade upsert did not reach any journal")
 	}
 	crash(st)
-	// A v1 database opens under the v2 default with nothing lost.
-	st2, err := OpenOptions("db", Options{Shards: 1, FS: fsys})
+	st2, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got, ok := st2.Get(p.ID); !ok || got.Count != p.Count+3 {
-		t.Fatalf("after v1->v2 reopen: %+v, want count %d", got, p.Count+3)
+	check(st2)
+	if _, ok := st2.Get(p.ID); !ok {
+		t.Fatal("pattern written after the v1 open lost on reopen")
 	}
 }
 
-// TestOpenRejectsUnknownFormat: a typoed format must fail loudly at
-// open, not silently write an unreadable journal.
-func TestOpenRejectsUnknownFormat(t *testing.T) {
-	if _, err := OpenOptions("", Options{Journal: JournalFormat("v3")}); err == nil {
-		t.Fatal("unknown journal format accepted")
-	}
-}
-
-// TestMixedFormatReplay is the post-upgrade state: a v1 snapshot plus
-// journals in v1, v2 and both formats within one file. Replay must be
-// lossless, and the open-time migration compaction must leave the
-// directory writing pure v2 from then on.
+// TestMixedFormatReplay is a database a v2 build finds after a pre-v2
+// build crashed and a v2 build crashed in turn: journals in v1, in v2
+// and in both formats within one file. Replay must be lossless, and the
+// open-time migration compaction must leave the directory writing pure
+// v2 from then on.
 func TestMixedFormatReplay(t *testing.T) {
 	dir := t.TempDir()
 	snapPat := pat(t, "from snapshot %string%", "alpha")
@@ -266,18 +322,14 @@ func TestMixedFormatReplay(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v1c, _ := codec.For(codec.FormatV1)
-	v2c, _ := codec.For(codec.FormatV2)
-	encode := func(c codec.Codec, recs ...record) []byte {
+	encode := func(enc func(testing.TB, record) []byte, recs ...record) []byte {
 		var buf []byte
-		for i := range recs {
-			buf, err = c.AppendRecord(buf, &recs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, r := range recs {
+			buf = append(buf, enc(t, r)...)
 		}
 		return buf
 	}
+	v1c, v2c := journalLine, journalFrame
 	a := pat(t, "upserted via v1 %string%", "beta")
 	b := pat(t, "upserted via v2 %string%", "gamma")
 	c := pat(t, "upserted mid upgrade %string%", "delta")
@@ -371,7 +423,7 @@ func TestMixedFormatReplay(t *testing.T) {
 // few dozen records — the old path paid json.Marshal plus a frame copy
 // on every single touch).
 func TestTouchPathAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	fsys := vfs.NewFault()

@@ -1,31 +1,28 @@
 // Package codec is the store's record-codec layer: it owns the wire
 // encoding of every byte the pattern database writes to disk.
 //
-// Two journal formats exist:
+// The store writes one journal format, v2: CRC32-framed, length-prefixed
+// binary records with varint integers and unix-time encodings, appended
+// into a caller-owned buffer without allocating (AppendRecord).
 //
-//   - v1 is the original line-oriented JSON format — one object per
-//     newline-terminated line. It is kept as the replay-compatible
-//     legacy decoder and as the differential-testing oracle for v2.
-//   - v2 is a compact length-prefixed binary format: CRC32-framed
-//     records with varint integers and unix-time encodings, designed to
-//     be appended into a caller-owned buffer without allocating.
-//
-// The two formats are distinguishable per record: a v1 record begins
+// Reader also replays v1, the original line-oriented JSON format (one
+// object per newline-terminated line) that databases written before v2
+// still hold. The two are distinguishable per record: a v1 record begins
 // with '{' and a v2 frame with the 0x00 marker byte (which can never
 // open a JSON value), so a single Reader replays any journal file —
-// pure v1, pure v2, or a file that switches format partway through
-// after an upgrade — without being told what wrote it.
+// pure v1, pure v2, or a file that switches format partway through —
+// without being told what wrote it.
 //
 // Decoding follows the store's torn-tail contract: a journal may end
 // mid-record after a crash, so Reader.Next reports any damage as a
 // *CorruptError and the caller keeps every whole record decoded before
 // it. Replay never errors on a tear.
 //
-// The snapshot (patterns.json) stays human-readable JSON in both
-// formats; EncodeSnapshot/DecodeSnapshot are the only place those bytes
-// are produced and parsed. The seqlint journalcodec analyzer enforces
-// that no package outside this one marshals or unmarshals the Record
-// and Snapshot types directly.
+// The snapshot (patterns.json) stays human-readable JSON;
+// EncodeSnapshot/DecodeSnapshot are the only place those bytes are
+// produced and parsed. The seqlint journalcodec analyzer enforces that
+// no package outside this one marshals or unmarshals the Record and
+// Snapshot types directly.
 package codec
 
 import (
@@ -35,44 +32,16 @@ import (
 	"repro/internal/patterns"
 )
 
-// Format names a journal encoding.
+// Format names the encoding of a decoded record; Reader.Next returns it
+// so diagnostic tools can label each record.
 type Format string
 
 const (
-	// FormatV1 is the line-oriented JSON journal format.
+	// FormatV1 is the legacy line-oriented JSON journal format (read only).
 	FormatV1 Format = "v1"
 	// FormatV2 is the length-prefixed, CRC-framed binary journal format.
 	FormatV2 Format = "v2"
 )
-
-// Valid reports whether f names a known format.
-func (f Format) Valid() bool { return f == FormatV1 || f == FormatV2 }
-
-// Version returns the numeric format version (1 or 2), or 0 for an
-// unknown format. Exported as the seqrtg_store_journal_format gauge.
-func (f Format) Version() int64 {
-	switch f {
-	case FormatV1:
-		return 1
-	case FormatV2:
-		return 2
-	}
-	return 0
-}
-
-// ParseFormat parses a CLI or option value. The empty string selects
-// the default (v2).
-func ParseFormat(s string) (Format, error) {
-	switch Format(s) {
-	case "":
-		return FormatV2, nil
-	case FormatV1:
-		return FormatV1, nil
-	case FormatV2:
-		return FormatV2, nil
-	}
-	return "", fmt.Errorf("codec: unknown journal format %q (want v1 or v2)", s)
-}
 
 // Record is one journal entry. The JSON tags are the v1 wire format,
 // unchanged from the original single-journal layout, which is what
@@ -97,29 +66,6 @@ const (
 	OpTouch  = "touch"
 	OpDelete = "delete"
 )
-
-// A Codec encodes records of one journal format. Implementations are
-// stateless and safe for concurrent use; all per-call state lives in
-// the caller's buffer.
-type Codec interface {
-	// Format identifies the encoding.
-	Format() Format
-	// AppendRecord appends the wire encoding of r (including the frame
-	// or line terminator) to buf and returns the extended slice. Neither
-	// buf nor r is retained.
-	AppendRecord(buf []byte, r *Record) ([]byte, error)
-}
-
-// For returns the codec of a format.
-func For(f Format) (Codec, error) {
-	switch f {
-	case FormatV1:
-		return v1Codec{}, nil
-	case FormatV2:
-		return v2Codec{}, nil
-	}
-	return nil, fmt.Errorf("codec: unknown journal format %q", f)
-}
 
 // CorruptError describes a damaged or torn record: where it starts and
 // what was wrong with it. Replay treats it as the end of the journal

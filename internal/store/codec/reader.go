@@ -3,6 +3,7 @@ package codec
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -10,9 +11,8 @@ import (
 
 // Reader decodes a journal stream record by record, auto-detecting the
 // format of each record from its first byte: '{' opens a v1 JSON line,
-// 0x00 opens a v2 binary frame. A file written partly in each format —
-// the state of a database mid-upgrade — therefore replays in order with
-// no out-of-band format knowledge.
+// 0x00 opens a v2 binary frame. A file written partly in each format
+// therefore replays in order with no out-of-band format knowledge.
 type Reader struct {
 	br  *bufio.Reader
 	off int64
@@ -76,7 +76,7 @@ func (r *Reader) nextV1(rec *Record) error {
 	if err != nil && !errors.Is(err, io.EOF) {
 		return r.corrupt("read v1 line", err)
 	}
-	if jerr := decodeV1Line(line, rec); jerr != nil {
+	if jerr := json.Unmarshal(line, rec); jerr != nil {
 		return r.corrupt("bad v1 record", jerr)
 	}
 	r.off += int64(len(line))

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"time"
@@ -56,10 +57,12 @@ const v2MaxHeader = 1 + binary.MaxVarintLen64 + 4
 // allocating.
 var zeroHeader [v2MaxHeader]byte
 
-// v2Codec is the compact binary encoding.
-type v2Codec struct{}
-
-func (v2Codec) Format() Format { return FormatV2 }
+// Encode errors are sentinels, not formatted errors, so that every path
+// through AppendRecord stays allocation-free.
+var (
+	errUnknownOp = errors.New("codec: record op has no v2 encoding")
+	errTooLarge  = errors.New("codec: record payload exceeds the v2 frame limit")
+)
 
 // element flag bits.
 const (
@@ -76,7 +79,12 @@ const (
 	timeSet  = 1
 )
 
-func (v2Codec) AppendRecord(buf []byte, r *Record) ([]byte, error) {
+// AppendRecord appends the v2 frame of r to buf and returns the extended
+// slice. Neither buf nor r is retained, so a caller's stack-local record
+// stays on the stack; with buf's capacity warm nothing is allocated.
+//
+//seqrtg:noalloc
+func AppendRecord(buf []byte, r *Record) ([]byte, error) {
 	var op byte
 	switch r.Op {
 	case OpUpsert:
@@ -86,7 +94,7 @@ func (v2Codec) AppendRecord(buf []byte, r *Record) ([]byte, error) {
 	case OpDelete:
 		op = 'd'
 	default:
-		return buf, fmt.Errorf("codec: cannot encode op %q as v2", r.Op)
+		return buf, errUnknownOp
 	}
 	// Reserve the header, encode the payload in place, then patch the
 	// header in. The length prefix is itself variable-width, so the
@@ -111,7 +119,7 @@ func (v2Codec) AppendRecord(buf []byte, r *Record) ([]byte, error) {
 	}
 	payload := buf[base+v2MaxHeader:]
 	if len(payload) > v2MaxPayload {
-		return buf[:base], fmt.Errorf("codec: v2 record payload %d bytes exceeds limit", len(payload))
+		return buf[:base], errTooLarge
 	}
 	var hdr [v2MaxHeader]byte
 	hdr[0] = v2Marker

@@ -18,14 +18,19 @@
 //
 // Both crash loss modes are exercised: the image that keeps only fsynced
 // bytes and the one where the OS happened to write everything back
-// before the cut (vfs.Fault.KeepUnsynced). The harness is driven by
-// crashtest_test.go; it lives in a non-test file so the scripted
-// workload and the invariant checker are one reviewable unit.
+// before the cut (vfs.Fault.KeepUnsynced). A run starts from an empty
+// directory or from the files of an existing database; the patterns
+// those hold join the model as acknowledged, and the store's first open
+// — replay, migration compaction, stray-journal retirement — is inside
+// the crash schedule. The harness is driven by crashtest_test.go; it
+// lives in a non-test file so the scripted workload and the invariant
+// checker are one reviewable unit.
 package crashtest
 
 import (
 	"errors"
 	"fmt"
+	"path"
 	"time"
 
 	"repro/internal/patterns"
@@ -53,37 +58,16 @@ type Op struct {
 	N int64
 	// Shards is the shard count for reopen.
 	Shards int
-	// Format is the journal format of the store reopened by a reopen op.
-	Format store.JournalFormat
 	// Batch holds the upsert/touch items of a batch op, committed
 	// together through ApplyBatch as one group-committed journal append.
 	Batch []Op
 }
 
-// Script returns the scripted workload in journal format f: rounds of
-// mutations (including one group-committed batch per round) with
-// barriers between them, reopened under a changing shard count, with one
-// process-kill (abandon: flush, drop the store, reopen) per round.
-func Script(f store.JournalFormat) []Op {
-	return script(func(int) store.JournalFormat { return f })
-}
-
-// ScriptMixed is Script with the journal format alternating between v1
-// and v2 across reopens, so every crash image mixes both encodings —
-// the live-upgrade (and rollback) path.
-func ScriptMixed() []Op {
-	return script(func(r int) store.JournalFormat {
-		if r%2 == 0 {
-			return store.JournalV1
-		}
-		return store.JournalV2
-	})
-}
-
-// script builds the workload; formatFor picks the journal format of the
-// store opened at the end of round r (the initial open's format is the
-// caller's business — see Probe and RunCrash).
-func script(formatFor func(r int) store.JournalFormat) []Op {
+// Script returns the scripted workload: rounds of mutations (including
+// one group-committed batch per round) with barriers between them,
+// reopened under a changing shard count, with one process-kill
+// (abandon: flush, drop the store, reopen) per round.
+func Script() []Op {
 	shardSeq := []int{2, 3, 1, 2, 3, 1, 4, 2}
 	var ops []Op
 	for r, next := range shardSeq {
@@ -121,7 +105,7 @@ func script(formatFor func(r int) store.JournalFormat) []Op {
 			Op{Kind: "delete", Svc: svcA, Text: "temporary scratch entry"},
 			Op{Kind: "flush"},
 			Op{Kind: "abandon"},
-			Op{Kind: "reopen", Shards: next, Format: formatFor(r)},
+			Op{Kind: "reopen", Shards: next},
 		)
 	}
 	return ops
@@ -143,10 +127,9 @@ type idState struct {
 // runner executes a script against a store on a fault filesystem while
 // maintaining the model.
 type runner struct {
-	f      *vfs.Fault
-	st     *store.Store
-	format store.JournalFormat
-	model  map[string]*idState
+	f     *vfs.Fault
+	st    *store.Store
+	model map[string]*idState
 }
 
 func patternID(svc, text string) (string, error) {
@@ -157,12 +140,53 @@ func patternID(svc, text string) (string, error) {
 	return p.ID, nil
 }
 
-func newRunner(f *vfs.Fault, shards int, format store.JournalFormat) (*runner, error) {
-	st, err := store.OpenOptions(dir, store.Options{Shards: shards, FS: f, Journal: format})
-	if err != nil {
-		return nil, err
+// seed returns a fault filesystem whose database directory holds files
+// (name → content, fully synced) with its step counter at zero, and the
+// model of the patterns they hold: every one acknowledged, as a database
+// found on disk is. nil files is an empty filesystem.
+func seed(files map[string][]byte) (*vfs.Fault, map[string]*idState, error) {
+	f := vfs.NewFault()
+	model := map[string]*idState{}
+	if len(files) == 0 {
+		return f, model, nil
 	}
-	return &runner{f: f, st: st, format: format, model: map[string]*idState{}}, nil
+	if err := f.MkdirAll(dir); err != nil {
+		return nil, nil, err
+	}
+	for name, data := range files {
+		w, err := f.Create(path.Join(dir, name))
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := w.Write(data); err != nil {
+			return nil, nil, err
+		}
+		if err := w.Sync(); err != nil {
+			return nil, nil, err
+		}
+		if err := w.Close(); err != nil {
+			return nil, nil, err
+		}
+	}
+	f = f.Image()
+	// Read the seeded patterns from a copy, so the run's own first open
+	// is the one that migrates the directory.
+	st, err := store.OpenOptions(dir, store.Options{Shards: 2, FS: f.Image()})
+	if err != nil {
+		return nil, nil, fmt.Errorf("open seed database: %w", err)
+	}
+	for _, p := range st.All() {
+		model[p.ID] = &idState{service: p.Service, barrierExists: true, barrierCount: p.Count, curExists: true, curCount: p.Count}
+	}
+	return f, model, st.Close()
+}
+
+// newRunner opens the store on f. The runner is returned even when the
+// open fails (the armed crash fired inside it), so the caller can check
+// the crash image against the model.
+func newRunner(f *vfs.Fault, model map[string]*idState) (*runner, error) {
+	st, err := store.OpenOptions(dir, store.Options{Shards: 2, FS: f})
+	return &runner{f: f, st: st, model: model}, err
 }
 
 func (r *runner) state(svc, text string) (*idState, error) {
@@ -321,7 +345,7 @@ func (r *runner) run(ops []Op) (bool, error) {
 			// The journals are non-empty, so the reopen replays them and
 			// compacts (the migration path).
 			shards := r.st.Shards()
-			st, err := store.OpenOptions(dir, store.Options{Shards: shards, FS: r.f, Journal: r.format})
+			st, err := store.OpenOptions(dir, store.Options{Shards: shards, FS: r.f})
 			if err != nil {
 				return false, nil
 			}
@@ -331,8 +355,7 @@ func (r *runner) run(ops []Op) (bool, error) {
 				return false, nil
 			}
 			r.promoteBarrier()
-			r.format = op.Format
-			st, err := store.OpenOptions(dir, store.Options{Shards: op.Shards, FS: r.f, Journal: r.format})
+			st, err := store.OpenOptions(dir, store.Options{Shards: op.Shards, FS: r.f})
 			if err != nil {
 				return false, nil
 			}
@@ -388,13 +411,16 @@ func stateOf(st *store.Store) map[string]int64 {
 	return out
 }
 
-// Probe runs the script once with no crash armed and returns the number
-// of mutating disk operations it performs — the crash schedule's bound.
-// It also verifies the complete run satisfies the model exactly. format
-// is the initial open's journal format; reopen ops switch to their own.
-func Probe(ops []Op, format store.JournalFormat) (int, error) {
-	f := vfs.NewFault()
-	r, err := newRunner(f, 2, format)
+// Probe runs the script once from the database files (nil: an empty
+// directory) with no crash armed and returns the number of mutating disk
+// operations it performs — the crash schedule's bound. It also verifies
+// the complete run satisfies the model exactly.
+func Probe(ops []Op, files map[string][]byte) (int, error) {
+	f, model, err := seed(files)
+	if err != nil {
+		return 0, err
+	}
+	r, err := newRunner(f, model)
 	if err != nil {
 		return 0, err
 	}
@@ -414,33 +440,19 @@ func Probe(ops []Op, format store.JournalFormat) (int, error) {
 // RunCrash crashes the scripted workload at mutating disk operation k,
 // reopens the store from the crash image and checks every invariant,
 // including reopening under a different shard count and recovery
-// idempotence (recover, close, recover again: identical state). The
-// recovering opens deliberately use the default journal format whatever
-// the workload wrote: replay auto-detects per record, and recovering a
-// v1 (or mixed) image under the v2 default is exactly the live-upgrade
-// path.
-func RunCrash(ops []Op, k int, keepUnsynced bool, format store.JournalFormat) error {
-	f := vfs.NewFault()
-	f.KeepUnsynced(keepUnsynced)
-	f.CrashAtStep(k)
-	r, err := newRunner(f, 2, format)
-	if err != nil && !errors.Is(err, vfs.ErrCrashed) {
-		return fmt.Errorf("initial open: %v", err)
-	}
-	if err == nil {
-		if _, err := r.run(ops); err != nil {
-			return err
-		}
-	} else {
-		r = &runner{f: f, model: map[string]*idState{}}
+// idempotence (recover, close, recover again: identical state).
+func RunCrash(ops []Op, k int, keepUnsynced bool, files map[string][]byte) error {
+	r, err := crashRun(ops, k, keepUnsynced, files)
+	if err != nil {
+		return err
 	}
 
-	img := f.Image()
+	img := r.f.Image()
 	if err := checkInvariants(img, r.model, 2); err != nil {
 		return err
 	}
 	// Replay must be correct under any recovering shard count.
-	if err := checkInvariants(f.Image(), r.model, 5); err != nil {
+	if err := checkInvariants(r.f.Image(), r.model, 5); err != nil {
 		return fmt.Errorf("under 5 shards: %w", err)
 	}
 
@@ -475,22 +487,12 @@ func RunCrash(ops []Op, k int, keepUnsynced bool, format store.JournalFormat) er
 // recovery itself at every one of its own mutating disk operations, and
 // checks the invariants still hold after the second crash — recovery
 // must be as crash-safe as normal operation.
-func RunRecoveryCrash(ops []Op, k int, keepUnsynced bool, format store.JournalFormat) error {
-	f := vfs.NewFault()
-	f.KeepUnsynced(keepUnsynced)
-	f.CrashAtStep(k)
-	r, err := newRunner(f, 2, format)
-	if err != nil && !errors.Is(err, vfs.ErrCrashed) {
-		return fmt.Errorf("initial open: %v", err)
+func RunRecoveryCrash(ops []Op, k int, keepUnsynced bool, files map[string][]byte) error {
+	r, err := crashRun(ops, k, keepUnsynced, files)
+	if err != nil {
+		return err
 	}
-	if err == nil {
-		if _, err := r.run(ops); err != nil {
-			return err
-		}
-	} else {
-		r = &runner{f: f, model: map[string]*idState{}}
-	}
-	img := f.Image()
+	img := r.f.Image()
 
 	// Bound the recovery's own crash schedule.
 	probe := img.Image()
@@ -513,4 +515,27 @@ func RunRecoveryCrash(ops []Op, k int, keepUnsynced bool, format store.JournalFo
 		}
 	}
 	return nil
+}
+
+// crashRun runs the script from the database files with the crash armed
+// at mutating disk operation k — which may fire inside the initial open
+// — and returns the runner holding the crashed disk and the model.
+func crashRun(ops []Op, k int, keepUnsynced bool, files map[string][]byte) (*runner, error) {
+	f, model, err := seed(files)
+	if err != nil {
+		return nil, err
+	}
+	f.KeepUnsynced(keepUnsynced)
+	f.CrashAtStep(k)
+	r, err := newRunner(f, model)
+	if errors.Is(err, vfs.ErrCrashed) {
+		return r, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("initial open: %v", err)
+	}
+	if _, err := r.run(ops); err != nil {
+		return nil, err
+	}
+	return r, nil
 }

@@ -1,34 +1,81 @@
 package crashtest
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
-
-	"repro/internal/store"
 )
 
-// matrix names the format variants the crash harness runs under. CI
-// selects one with -run 'TestCrashMatrix/v2' (or v1, or mixed); a plain
-// go test runs all three.
-var matrix = []struct {
-	name   string
-	format store.JournalFormat // initial open's journal format
-	ops    []Op
-}{
-	{"v1", store.JournalV1, Script(store.JournalV1)},
-	{"v2", store.JournalV2, Script(store.JournalV2)},
-	{"mixed", store.JournalV1, ScriptMixed()},
+// legacyDB is the v1 database committed for the compatibility contract:
+// a snapshot, two sharded v1 journals holding upserts, touches and
+// deletes, and a pre-sharding journal.wal.
+const legacyDB = "../../../testdata/legacy-v1"
+
+type variant struct {
+	name  string
+	files map[string][]byte // database the run starts from; nil = empty
+}
+
+// variants are the starting states the crash harness runs from: an empty
+// directory (v2), and the committed v1 database (upgrade), whose first
+// open replays the v1 journals, compacts and retires the stray legacy
+// journal under the same crash schedule as the script that follows. CI
+// selects one with -run '/v2$' or -run '/upgrade$'; a plain go test runs
+// both.
+func variants(t *testing.T) []variant {
+	t.Helper()
+	entries, err := os.ReadDir(legacyDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(legacyDB, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	// The model of the seed is read through the store under test; pin it
+	// to what the v1 writer's own build read back, so a replay bug
+	// cannot hide by agreeing with itself.
+	raw, err := os.ReadFile(legacyDB + ".golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []struct {
+		ID    string `json:"id"`
+		Count int64  `json:"count"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	_, model, err := seed(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(model) != len(golden) {
+		t.Fatalf("seed model holds %d patterns, golden %d", len(model), len(golden))
+	}
+	for _, g := range golden {
+		if s := model[g.ID]; s == nil || s.barrierCount != g.Count {
+			t.Fatalf("seed model disagrees with golden pattern %s (count %d)", g.ID, g.Count)
+		}
+	}
+	return []variant{{"v2", nil}, {"upgrade", files}}
 }
 
 // TestCrashMatrix crashes the scripted workload at every mutating disk
-// operation it performs, in both crash loss modes and every journal
-// format variant (pure v1, pure v2, alternating across reopens), and
-// checks the full durability contract at each point. The issue's
+// operation it performs, in both crash loss modes and from both starting
+// states, and checks the full durability contract at each point. The
 // acceptance floor is 200 distinct crash points per variant; the script
 // is sized to clear it.
 func TestCrashMatrix(t *testing.T) {
-	for _, m := range matrix {
-		t.Run(m.name, func(t *testing.T) {
-			steps, err := Probe(m.ops, m.format)
+	ops := Script()
+	for _, v := range variants(t) {
+		t.Run(v.name, func(t *testing.T) {
+			steps, err := Probe(ops, v.files)
 			if err != nil {
 				t.Fatalf("probe run: %v", err)
 			}
@@ -38,7 +85,7 @@ func TestCrashMatrix(t *testing.T) {
 			}
 			for _, keep := range []bool{false, true} {
 				for k := 1; k <= steps; k++ {
-					if err := RunCrash(m.ops, k, keep, m.format); err != nil {
+					if err := RunCrash(ops, k, keep, v.files); err != nil {
 						t.Errorf("crash at step %d (keepUnsynced=%v): %v", k, keep, err)
 						if testing.Short() {
 							t.FailNow()
@@ -55,9 +102,10 @@ func TestCrashMatrix(t *testing.T) {
 // first crash point to bound runtime) and re-checks the invariants:
 // recovery must be as crash-safe as normal operation.
 func TestRecoveryCrash(t *testing.T) {
-	for _, m := range matrix {
-		t.Run(m.name, func(t *testing.T) {
-			steps, err := Probe(m.ops, m.format)
+	ops := Script()
+	for _, v := range variants(t) {
+		t.Run(v.name, func(t *testing.T) {
+			steps, err := Probe(ops, v.files)
 			if err != nil {
 				t.Fatalf("probe run: %v", err)
 			}
@@ -67,7 +115,7 @@ func TestRecoveryCrash(t *testing.T) {
 			}
 			for _, keep := range []bool{false, true} {
 				for k := 1; k <= steps; k += stride {
-					if err := RunRecoveryCrash(m.ops, k, keep, m.format); err != nil {
+					if err := RunRecoveryCrash(ops, k, keep, v.files); err != nil {
 						t.Errorf("first crash at step %d (keepUnsynced=%v): %v", k, keep, err)
 					}
 				}

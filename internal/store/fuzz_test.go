@@ -47,11 +47,7 @@ func FuzzJournalReplay(f *testing.F) {
 // journalFrame renders a record as one v2 binary frame.
 func journalFrame(tb testing.TB, r record) []byte {
 	tb.Helper()
-	c, err := codec.For(codec.FormatV2)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	b, err := c.AppendRecord(nil, &r)
+	b, err := codec.AppendRecord(nil, &r)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -104,29 +104,11 @@ var ErrClosed = errors.New("store: closed")
 // recoverable; test with errors.Is.
 var ErrUnknownPattern = errors.New("store: unknown pattern")
 
-// JournalFormat selects the encoding new journal records are written
-// in; see internal/store/codec for the wire formats. Replay always
-// auto-detects per record, so the format choice affects writes only —
-// a database written in either format (or both, mid-upgrade) opens
-// under any setting.
-type JournalFormat = codec.Format
-
-const (
-	// JournalV1 is the legacy line-oriented JSON journal encoding.
-	JournalV1 = codec.FormatV1
-	// JournalV2 is the compact CRC-framed binary journal encoding (the
-	// default).
-	JournalV2 = codec.FormatV2
-)
-
 // Options tunes OpenOptions.
 type Options struct {
 	// Shards is the number of service-hash shards (and journal files for
 	// a file-backed store). Zero or negative selects GOMAXPROCS.
 	Shards int
-	// Journal is the encoding for new journal records. The zero value
-	// selects JournalV2; JournalV1 keeps writing the legacy JSON lines.
-	Journal JournalFormat
 	// FS is the filesystem the store runs on. Nil selects the real one
 	// (vfs.OS); tests inject vfs.Fault to exercise I/O failures and
 	// crash schedules.
@@ -147,12 +129,8 @@ type shard struct {
 	// encBuf is the shard's reusable record-encode scratch buffer: every
 	// journal append (single-record or batch) is encoded into it and
 	// written in one piece, so the hot path allocates nothing once the
-	// buffer has grown to the working-set record size. encRec is the
-	// matching scratch record — passing a stack-local record through the
-	// codec interface would escape it to the heap on every append.
-	// Both guarded by mu.
+	// buffer has grown to the working-set record size. Guarded by mu.
 	encBuf []byte
-	encRec codec.Record
 	// suspect marks the journal as possibly ending in a torn or
 	// half-flushed record after an I/O error: appending more records
 	// after such a tail would make them unreadable on replay, so the
@@ -187,11 +165,6 @@ type Store struct {
 	// are always taken after it, in ascending order.
 	compactMu sync.Mutex
 	m         *obs.Metrics
-	// format and enc are the journal encoding new records are written
-	// in; replay auto-detects per record and is independent of them.
-	// Immutable after OpenOptions.
-	format codec.Format
-	enc    codec.Codec
 }
 
 // SetMetrics redirects the store's instrumentation to m (one Metrics is
@@ -201,7 +174,6 @@ func (s *Store) SetMetrics(m *obs.Metrics) {
 	m.StoreShardContention.EnsureLen(len(s.shards))
 	m.StoreShardOps.EnsureLen(len(s.shards))
 	m.StoreShards.Set(int64(len(s.shards)))
-	m.StoreJournalFormat.Set(s.format.Version())
 	s.m = m
 	m.StorePatterns.Set(s.count.Load())
 }
@@ -225,15 +197,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	if fsys == nil {
 		fsys = vfs.OS{}
 	}
-	format, err := codec.ParseFormat(string(opts.Journal))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	enc, err := codec.For(format)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s := &Store{dir: dir, fs: fsys, shards: make([]*shard, n), format: format, enc: enc}
+	s := &Store{dir: dir, fs: fsys, shards: make([]*shard, n)}
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			id:    i,
@@ -358,8 +322,8 @@ func (s *Store) loadSnapshot() error {
 	return nil
 }
 
-// record is one journal entry; the wire encodings (JSON v1 lines,
-// binary v2 frames) live in internal/store/codec.
+// record is one journal entry; its wire encoding (v2 frames written,
+// legacy v1 JSON lines replayed) lives in internal/store/codec.
 type record = codec.Record
 
 // replayJournals replays every journal file present in the directory —
@@ -568,7 +532,7 @@ func (s *Store) countIO(err error) error {
 }
 
 // logLocked appends one record to the shard's journal, encoded through
-// the shard's reusable buffer (no per-append allocation under v2).
+// the shard's reusable buffer (no per-append allocation).
 // Callers hold the shard lock; compaction is scheduled by the caller
 // after releasing it.
 func (sh *shard) logLocked(r record) error {
@@ -577,9 +541,7 @@ func (sh *shard) logLocked(r record) error {
 		return nil
 	}
 	r.E = sh.st.epoch.Load()
-	sh.encRec = r
-	buf, err := sh.st.enc.AppendRecord(sh.encBuf[:0], &sh.encRec)
-	sh.encRec = record{} // do not retain the pattern past the append
+	buf, err := codec.AppendRecord(sh.encBuf[:0], &r)
 	if err != nil {
 		return fmt.Errorf("store: encode journal record: %w", err)
 	}
@@ -848,8 +810,8 @@ func (s *Store) ApplyBatch(service string, ops []Op) (unknown []string, err erro
 	epoch := s.epoch.Load()
 	buf := sh.encBuf[:0]
 	for _, p := range upserts {
-		sh.encRec = record{Op: codec.OpUpsert, Pattern: p, E: epoch}
-		if buf, err = s.enc.AppendRecord(buf, &sh.encRec); err != nil {
+		rec := record{Op: codec.OpUpsert, Pattern: p, E: epoch}
+		if buf, err = codec.AppendRecord(buf, &rec); err != nil {
 			break
 		}
 	}
@@ -858,16 +820,14 @@ func (s *Store) ApplyBatch(service string, ops []Op) (unknown []string, err erro
 			break
 		}
 		t := &touches[i]
-		sh.encRec = record{Op: codec.OpTouch, ID: t.id, N: t.n, When: t.when, Example: t.example, E: epoch}
-		buf, err = s.enc.AppendRecord(buf, &sh.encRec)
+		rec := record{Op: codec.OpTouch, ID: t.id, N: t.n, When: t.when, Example: t.example, E: epoch}
+		buf, err = codec.AppendRecord(buf, &rec)
 	}
-	sh.encRec = record{}
-	sh.encBuf = buf[:0]
+	sh.encBuf = buf
 	if err != nil {
 		sh.mu.Unlock()
 		return unknown, fmt.Errorf("store: encode batch: %w", err)
 	}
-	sh.encBuf = buf
 	werr := sh.writeFramesLocked(buf, nrec)
 	sh.mu.Unlock()
 	if werr != nil {
@@ -876,9 +836,6 @@ func (s *Store) ApplyBatch(service string, ops []Op) (unknown []string, err erro
 	s.m.StoreBatchBytes.Add(int64(len(buf)))
 	return unknown, s.maybeCompact()
 }
-
-// Format returns the journal encoding new records are written in.
-func (s *Store) Format() JournalFormat { return s.format }
 
 // Delete removes a pattern by ID.
 func (s *Store) Delete(id string) error {

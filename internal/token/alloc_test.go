@@ -3,6 +3,7 @@ package token_test
 import (
 	"testing"
 
+	"repro/internal/testenv"
 	"repro/internal/token"
 	"repro/internal/workload"
 )
@@ -10,10 +11,10 @@ import (
 // TestScanZeroAllocs is the committed allocation budget of the scan
 // stage: tokenizing and enriching a message with a pooled scanner must
 // not allocate at all once the scanner's buffers are warm. This is the
-// core guarantee of the byte-slice token redesign; seqbench reports the
-// same figure (stage "scan", allocs_per_msg) over the full corpus.
+// core guarantee of the byte-slice token redesign; bench/ prices the
+// same stage as token.scan_ns_per_msg.
 func TestScanZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	gen := workload.New(workload.Config{Seed: 1})
@@ -44,7 +45,7 @@ func TestScanZeroAllocs(t *testing.T) {
 // Scan copies the message into the scanner's reused source buffer, so
 // steady state (buffer already grown) is allocation-free too.
 func TestScanStringZeroSteadyAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	msg := "Failed password for root from 10.0.0.1 port 22 ssh2"

@@ -84,7 +84,7 @@ func TestScanParityLoghub(t *testing.T) {
 }
 
 // TestScanParityWorkload runs the differential check over the fixed-seed
-// multi-service corpus that seqbench measures.
+// multi-service workload corpus.
 func TestScanParityWorkload(t *testing.T) {
 	gen := workload.New(workload.Config{Seed: 1})
 	for i := 0; i < 2000; i++ {

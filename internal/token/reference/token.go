@@ -1,6 +1,5 @@
 // Package reference is the FROZEN pre-PR-6 string-based scanner, kept
-// verbatim as the differential-testing oracle and the "before" side of
-// the seqbench before/after comparison. The live scanner in
+// verbatim as the differential-testing oracle. The live scanner in
 // internal/token was redesigned around byte-slice spans (PR 6); this
 // copy preserves the exact prior tokenization semantics. Do not evolve
 // it: behavioural changes to the live scanner must keep parity with

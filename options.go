@@ -76,17 +76,6 @@ func WithSplitSemiConstants(max int) Option {
 	return func(c *Config) { c.SplitSemiConstants = max }
 }
 
-// WithJournalFormat selects the on-disk journal record encoding for a
-// file-backed pattern database: JournalV2 (the default, compact binary
-// frames with per-record checksums) or JournalV1 (the legacy JSON-lines
-// encoding, for databases that must stay readable by older builds).
-// Reading auto-detects the format per record, so existing databases of
-// either format open under either setting; the setting only governs new
-// writes.
-func WithJournalFormat(f JournalFormat) Option {
-	return func(c *Config) { c.Journal = f }
-}
-
 // WithArchive enables the pattern-aware compressed log archive: every
 // message matched on the parse path is recorded as (timestamp, pattern
 // ID, variable values) in time-bucketed, columnar, DEFLATE-compressed

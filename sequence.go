@@ -174,19 +174,6 @@ const (
 // DefaultBatchSize is the production batch size used at CC-IN2P3.
 const DefaultBatchSize = ingest.DefaultBatchSize
 
-// JournalFormat selects the journal record encoding of a file-backed
-// pattern database (see WithJournalFormat).
-type JournalFormat = store.JournalFormat
-
-// The supported journal formats.
-const (
-	// JournalV1 is the legacy JSON-lines record encoding.
-	JournalV1 = store.JournalV1
-	// JournalV2 is the compact length-prefixed binary encoding with
-	// per-record checksums (the default).
-	JournalV2 = store.JournalV2
-)
-
 // Config tunes an RTG instance. The zero value is production-ready.
 //
 // Deprecated: new code should use the functional options (WithConcurrency,
@@ -229,10 +216,6 @@ type Config struct {
 	// SplitSemiConstants, when positive, expands variables that only ever
 	// took between two and this many values into one pattern per value.
 	SplitSemiConstants int
-
-	// Journal selects the journal record encoding of a file-backed
-	// pattern database (JournalV2 when empty; see WithJournalFormat).
-	Journal JournalFormat
 
 	// Metrics receives the instance's instrumentation; a fresh private
 	// registry is created when nil. Set it (or use WithMetrics) to share
@@ -284,7 +267,7 @@ func Open(dir string, opts ...Option) (*RTG, error) {
 	if c.Metrics == nil {
 		c.Metrics = obs.New()
 	}
-	st, err := store.OpenOptions(dir, store.Options{Shards: c.StoreShards, Journal: c.Journal})
+	st, err := store.OpenOptions(dir, store.Options{Shards: c.StoreShards})
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,11 @@ package sequence_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -266,68 +268,83 @@ func TestOpenFunctionalOptions(t *testing.T) {
 	}
 }
 
-func TestWithJournalFormat(t *testing.T) {
-	// A v1 database keeps the legacy JSON-lines journal on disk and
-	// reopens losslessly under the default (v2) setting: reads
-	// auto-detect the format per record.
+// TestLegacyV1Database is the compatibility contract for databases
+// written before the binary journal. testdata/legacy-v1 was written by
+// the last build that could still write v1 JSON-lines journals and left
+// as a crash leaves it: a snapshot, two sharded journals holding
+// upserts, touches and deletes, and a pre-sharding journal.wal. Opened
+// here, it must hold exactly the patterns that build read back from it
+// (testdata/legacy-v1.golden.json), and every journal written after the
+// open must be v2 frames.
+func TestLegacyV1Database(t *testing.T) {
 	dir := t.TempDir()
-	rtg, err := sequence.Open(dir, sequence.WithJournalFormat(sequence.JournalV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rtg.AnalyzeByService(sshdRecords(10), now); err != nil {
-		t.Fatal(err)
-	}
-	want := rtg.PatternCount()
-	if want == 0 {
-		t.Fatal("no patterns mined")
-	}
-	// Journal appends are buffered; Flush is the durability barrier that
-	// puts them on disk. (Close instead compacts everything into the
-	// snapshot and truncates the journals, so inspect before closing.)
-	if err := rtg.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	sawJournal := false
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir("testdata/legacy-v1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), "journal-") {
-			continue
+		b, err := os.ReadFile(filepath.Join("testdata/legacy-v1", e.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type golden struct {
+		ID       string   `json:"id"`
+		Service  string   `json:"service"`
+		Count    int64    `json:"count"`
+		Examples []string `json:"examples"`
+	}
+	raw, err := os.ReadFile("testdata/legacy-v1.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []golden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	rtg, err := sequence.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rtg.Close()
+	var got []golden
+	for _, p := range rtg.Patterns() {
+		got = append(got, golden{p.ID, p.Service, p.Count, p.Examples})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy database reads back\n%+v\nwant\n%+v", got, want)
+	}
+
+	if _, err := rtg.AnalyzeByService(sshdRecords(10), now); err != nil {
+		t.Fatal(err)
+	}
+	if err := rtg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	journals, err := filepath.Glob(filepath.Join(dir, "journal*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := 0
+	for _, name := range journals {
+		b, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(b) == 0 {
 			continue
 		}
-		sawJournal = true
-		if b[0] != '{' {
-			t.Fatalf("%s: JournalV1 journal does not start with a JSON object: %q", e.Name(), b[:min(16, len(b))])
+		written++
+		if b[0] != 0x00 {
+			t.Fatalf("%s does not start with the v2 frame marker: %q", filepath.Base(name), b[:min(16, len(b))])
 		}
 	}
-	if !sawJournal {
-		t.Fatal("no non-empty journal written")
-	}
-	if err := rtg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	reopened, err := sequence.Open(dir) // default format: v2
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	if got := reopened.PatternCount(); got != want {
-		t.Fatalf("reopen under v2 lost patterns: %d != %d", got, want)
-	}
-
-	if _, err := sequence.Open(dir, sequence.WithJournalFormat("v3")); err == nil {
-		t.Fatal("unknown journal format must be rejected at Open")
+	if written == 0 {
+		t.Fatal("no journal written after the batch")
 	}
 }
 
