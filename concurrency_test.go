@@ -17,8 +17,8 @@ import (
 
 // TestPurgeThenReanalyze: analyze, purge everything, re-analyze the SAME
 // messages. Before the purge/parser desync fix the purged patterns kept
-// matching out of the parser and their statistics went to store.Touch
-// calls on deleted IDs, failing the batch.
+// matching out of the parser and their statistics went to store touches
+// of deleted IDs, failing the batch.
 func TestPurgeThenReanalyze(t *testing.T) {
 	rtg, err := sequence.Open("", sequence.WithStoreShards(4))
 	if err != nil {

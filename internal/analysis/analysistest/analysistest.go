@@ -169,10 +169,8 @@ func unquotePrefix(s string) (val, rest string, err error) {
 // testdata/src/<path> and returns the shared FileSet plus the loader
 // units, in argument order. All packages are checked against one
 // importer, so cross-fixture imports resolve within the returned set —
-// the same program view Run hands the driver. Tests use it to drive an
-// analyzer through a non-standard harness, e.g. a Program-less pass
-// that pins what an analyzer's intraprocedural fast path does (and
-// does not) see.
+// the same program view Run hands the driver. Tests use it to build
+// passes or call graphs over fixtures directly.
 func LoadFixture(t *testing.T, pkgPaths ...string) (*token.FileSet, []*load.Unit) {
 	t.Helper()
 	src, err := filepath.Abs(filepath.Join("testdata", "src"))

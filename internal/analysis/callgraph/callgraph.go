@@ -90,13 +90,8 @@ type Graph struct {
 
 // For returns the run's call graph, building it on first request and
 // memoizing it in the pass's fact store so every interprocedural
-// analyzer shares one graph. It returns nil when the pass has no
-// program (ad-hoc single-unit runs), which analyzers treat as "fall
-// back to the intraprocedural tier".
+// analyzer shares one graph.
 func For(pass *framework.Pass) *Graph {
-	if pass.Program == nil || pass.Facts == nil {
-		return nil
-	}
 	return pass.Facts.Memo("callgraph", func() any {
 		return Build(pass.Fset, pass.Program)
 	}).(*Graph)

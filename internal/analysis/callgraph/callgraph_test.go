@@ -177,8 +177,7 @@ func TestKeyCollapsesImportIdentity(t *testing.T) {
 	}
 }
 
-// TestForMemoizesPerRun checks For builds once per fact store and
-// returns nil without a program.
+// TestForMemoizesPerRun checks For builds once per fact store.
 func TestForMemoizesPerRun(t *testing.T) {
 	fset, units := analysistest.LoadFixture(t, "cg/util")
 	program := []*framework.ProgramUnit{{
@@ -193,10 +192,5 @@ func TestForMemoizesPerRun(t *testing.T) {
 	g2 := callgraph.For(mk())
 	if g1 == nil || g1 != g2 {
 		t.Fatalf("For did not memoize: %p vs %p", g1, g2)
-	}
-	bare := mk()
-	bare.Program = nil
-	if callgraph.For(bare) != nil {
-		t.Fatalf("For returned a graph for a program-less pass")
 	}
 }

@@ -55,12 +55,10 @@ type Pass struct {
 	Report func(pos token.Pos, message string)
 	// Program is every unit loaded in this run, the pass's own
 	// included, in deterministic (path-sorted) order. Interprocedural
-	// analyzers walk it to see across package boundaries; a nil Program
-	// (ad-hoc single-unit runs) degrades them to their intraprocedural
-	// fast path.
+	// analyzers walk it to see across package boundaries.
 	Program []*ProgramUnit
 	// Facts is the run-wide fact store shared by every pass of one
-	// driver run. Nil only when Program is nil.
+	// driver run.
 	Facts *Facts
 }
 

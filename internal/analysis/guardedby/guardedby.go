@@ -4,27 +4,19 @@
 // `// guarded by mu (send)` restricts only channel sends (receives and
 // len are the lock-free side of the protocol).
 //
-// The check has two tiers:
-//
-//   - The lexical tier (v1, used whenever the pass has no whole-program
-//     view): an access is legal if, earlier in the same function body,
-//     base.mu.Lock()/RLock() on the same base, a base.lock()/rlock()
-//     helper, or a lockAll() sweep appears. Functions whose name ends
-//     in "Locked" are exempt by convention — the suffix is the
-//     documented contract that the caller holds the lock.
-//
-//   - The interprocedural tier (v2): the *Locked naming convention is
-//     verified instead of trusted. A function whose body touches a
-//     guarded field without acquiring the lock itself is legal only if
-//     every production call path into it (per the static call graph)
-//     acquires the named mutex before the call. Call sites that reach
-//     the guarded access lock-free are reported at the frontier — the
-//     outermost call the graph can see — so an annotation-only lock
-//     claim (a *Locked helper with a non-locking caller) is flagged at
-//     the caller that should have locked. The contract is trusted only
-//     where callers are invisible: exported functions, functions whose
-//     value escapes (callbacks), and functions with no production
-//     callers at all.
+// An access is covered inside its own function if, earlier in the
+// body, base.mu.Lock()/RLock() on the same base, a base.lock()/rlock()
+// helper, or a lockAll() sweep appears. A function whose body touches a
+// guarded field without acquiring the lock itself is legal only if
+// every production call path into it (per the static call graph)
+// acquires the named mutex before the call: the *Locked naming
+// convention is verified, not trusted. Call sites that reach the
+// guarded access lock-free are reported at the frontier — the outermost
+// call the graph can see — so an annotation-only lock claim (a *Locked
+// helper with a non-locking caller) is flagged at the caller that
+// should have locked. The *Locked suffix is trusted only where callers
+// are invisible: exported functions, functions whose value escapes
+// (callbacks), and functions with no production callers at all.
 //
 // Unlock is deliberately not tracked: the analyzer over-approximates
 // the critical section to the rest of the function, trading false
@@ -52,9 +44,8 @@ var Analyzer = &framework.Analyzer{
 	Name: "guardedby",
 	Doc: "fields annotated `// guarded by <mu>` may only be accessed in " +
 		"functions that acquire <mu> first (`(send)` mode restricts " +
-		"channel sends only); with a whole-program view, *Locked " +
-		"functions are verified against their call paths instead of " +
-		"trusted by name",
+		"channel sends only); *Locked functions are verified against " +
+		"their call paths instead of trusted by name",
 	Run: run,
 }
 
@@ -67,19 +58,12 @@ type annot struct {
 }
 
 func run(pass *framework.Pass) error {
-	g := callgraph.For(pass)
-	if g == nil {
-		runLexical(pass)
-		return nil
-	}
-	st := stateFor(pass, g)
+	st := stateFor(pass, callgraph.For(pass))
 	for _, f := range st.findings[pass.Path] {
 		pass.Report(f.pos, f.msg)
 	}
 	return nil
 }
-
-// ---- interprocedural tier ----
 
 type finding struct {
 	pos token.Pos
@@ -150,7 +134,7 @@ func (st *state) handle(n *callgraph.Node, a access) {
 		// suffix is the documented contract and there is nothing to
 		// check it against.
 	default:
-		st.add(n.Unit.Path, a.pos, lexicalMessage(a, n.Decl.Name.Name))
+		st.add(n.Unit.Path, a.pos, accessMessage(a, n.Decl.Name.Name))
 	}
 }
 
@@ -419,36 +403,13 @@ func unguardedAccesses(info *types.Info, fd *ast.FuncDecl, guarded map[types.Obj
 	return out
 }
 
-func lexicalMessage(a access, funcName string) string {
+func accessMessage(a access, funcName string) string {
 	what := "accessed"
 	if a.send {
 		what = "sent to"
 	}
 	return fmt.Sprintf("%s.%s %s in %s without holding %s (annotated `guarded by %s`)",
 		a.baseName, a.name, what, funcName, a.mu, a.mu)
-}
-
-// ---- lexical tier (v1), used when the pass has no program view ----
-
-func runLexical(pass *framework.Pass) {
-	guarded := collectAnnotations(pass.TypesInfo, pass.Files)
-	if len(guarded) == 0 {
-		return
-	}
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || isLockedName(fd.Name.Name) {
-				continue
-			}
-			for _, a := range unguardedAccesses(pass.TypesInfo, fd, guarded) {
-				pass.Report(a.pos, lexicalMessage(a, fd.Name.Name))
-			}
-		}
-	}
 }
 
 // lockCall classifies a call expression as a lock acquisition:

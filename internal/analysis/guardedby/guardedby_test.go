@@ -1,11 +1,9 @@
 package guardedby_test
 
 import (
-	"go/token"
 	"testing"
 
 	"repro/internal/analysis/analysistest"
-	"repro/internal/analysis/framework"
 	"repro/internal/analysis/guardedby"
 )
 
@@ -13,37 +11,9 @@ func TestGuardedBy(t *testing.T) {
 	analysistest.Run(t, guardedby.Analyzer, "cache")
 }
 
-// TestGuardedByLockedClaim pins the interprocedural tier on the
-// annotation-only lock claim: *Locked helpers whose callers are visible
+// TestGuardedByLockedClaim pins the annotation-only lock claim: *Locked helpers whose callers are visible
 // are verified, and the lock-free call sites are reported at the
 // frontier.
 func TestGuardedByLockedClaim(t *testing.T) {
 	analysistest.Run(t, guardedby.Analyzer, "lockedclaim")
-}
-
-// TestGuardedByLexicalMisses proves the lockedclaim fixture is a
-// genuine evasion of the v1 check: a Program-less pass (lexical tier)
-// over the same unit must stay silent.
-func TestGuardedByLexicalMisses(t *testing.T) {
-	fset, units := analysistest.LoadFixture(t, "lockedclaim")
-	for _, u := range units {
-		var got []string
-		pass := &framework.Pass{
-			Analyzer:  guardedby.Analyzer,
-			Fset:      fset,
-			Files:     u.Files,
-			Path:      u.Path,
-			Pkg:       u.Pkg,
-			TypesInfo: u.Info,
-			Report: func(pos token.Pos, message string) {
-				got = append(got, fset.Position(pos).String()+": "+message)
-			},
-		}
-		if err := guardedby.Analyzer.Run(pass); err != nil {
-			t.Fatalf("lexical tier over %s: %v", u.Path, err)
-		}
-		for _, d := range got {
-			t.Errorf("lexical tier unexpectedly caught an evasion fixture (not an evasion after all): %s", d)
-		}
-	}
 }

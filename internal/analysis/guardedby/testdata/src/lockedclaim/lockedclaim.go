@@ -1,9 +1,7 @@
-// Evasion fixture for the interprocedural guardedby tier: a *Locked
-// suffix is only a claim, and v1 trusted it unconditionally. With the
-// call graph the claim is verified — every production path into the
-// helper must acquire the mutex — and the lock-free call sites are
-// flagged at the frontier. TestGuardedByLexicalMisses pins that the
-// lexical tier reports nothing here.
+// Evasion fixture for guardedby: a *Locked suffix is only a claim, and
+// a per-function check has to trust it. With the call graph the claim
+// is verified — every production path into the helper must acquire the
+// mutex — and the lock-free call sites are flagged at the frontier.
 package lockedclaim
 
 import "sync"
@@ -24,7 +22,7 @@ func (c *Counter) Good() int {
 }
 
 // Bad calls the *Locked helper without acquiring anything: the
-// annotation-only lock claim the lexical tier cannot catch.
+// annotation-only lock claim no per-function check can catch.
 func (c *Counter) Bad() int {
 	return c.sumLocked() // want `call to Counter\.sumLocked reaches Counter\.n \(annotated .guarded by mu.\) without holding mu`
 }

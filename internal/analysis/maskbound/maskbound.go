@@ -1,28 +1,20 @@
 // Package maskbound enforces the PII boundary on the ingest paths: in
 // internal/core and internal/server, any function that writes to a
-// durable sink — the store's ApplyBatch/Upsert/TouchIn or the
-// archive's Append — must run the masking stage first. The masking
-// contract (DESIGN.md §13) is that raw message text never reaches the
-// journal, snapshots, or archive blocks; that only holds if every
-// ingest path masks before it stores.
+// durable sink — the store's ApplyBatch or the archive's Append — must
+// run the masking stage first. The masking contract (DESIGN.md §13) is
+// that raw message text never reaches the journal, snapshots, or
+// archive blocks; that only holds if every ingest path masks before it
+// stores.
 //
-// The analyzer has two tiers:
-//
-//   - The lexical tier (v1, kept as the fast path and used whenever the
-//     pass has no whole-program view): a call to a *mask.Masker method
-//     or to a mask* helper (maskMsg, maskMessages, maskRecord, ...)
-//     must appear earlier in the function body than the sink call it
-//     covers.
-//
-//   - The interprocedural tier (v2): a sink is covered only if a
-//     masking call *dominates* it — appears earlier and not inside a
-//     conditional branch the sink is outside of — or the call chain
-//     from the ingest entry point transitively masks first. Sinks
-//     wrapped in helpers (in any package) are traced through the
-//     static call graph, and findings are reported at the entry
-//     function whose chain fails to mask, so helper-wrapped sinks,
-//     mask-after-store orderings and conditionally-executed masks are
-//     all caught.
+// A masking call is a call to a *mask.Masker method or to a mask*
+// helper (maskMsg, maskMessages, maskRecord, ...). A sink is covered
+// only if a masking call *dominates* it — appears earlier and not
+// inside a conditional branch the sink is outside of — or the call
+// chain from the ingest entry point transitively masks first. Sinks
+// wrapped in helpers (in any package) are traced through the static
+// call graph, and findings are reported at the entry function whose
+// chain fails to mask, so helper-wrapped sinks, mask-after-store
+// orderings and conditionally-executed masks are all caught.
 //
 // Dominance is approximated on the AST: if/else branches, switch and
 // select clauses, and defer/go statements are conditional scopes; loop
@@ -45,7 +37,7 @@ var Analyzer = &framework.Analyzer{
 	Name: "maskbound",
 	Doc: "ingest functions in internal/core and internal/server must " +
 		"run the masking stage (a mask.Masker method or a mask* helper) " +
-		"before writing to the store (ApplyBatch, Upsert, TouchIn) or " +
+		"before writing to the store (ApplyBatch) or " +
 		"the archive (Append); the masking call must dominate the sink, " +
 		"across helper calls (static call graph)",
 	Run: run,
@@ -55,7 +47,7 @@ var Analyzer = &framework.Analyzer{
 // package path suffix -> type name -> method set.
 var sinkMethods = map[string]map[string]map[string]bool{
 	"internal/store": {
-		"Store": {"ApplyBatch": true, "Upsert": true, "TouchIn": true},
+		"Store": {"ApplyBatch": true},
 	},
 	"internal/archive": {
 		"Archive": {"Append": true},
@@ -89,11 +81,6 @@ func run(pass *framework.Pass) error {
 		return nil
 	}
 	g := callgraph.For(pass)
-	if g == nil {
-		// Fast path / ad-hoc single-unit runs: lexical tier only.
-		runLexical(pass)
-		return nil
-	}
 	st := stateFor(pass, g)
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Pos()) {
@@ -431,61 +418,6 @@ func children(n ast.Node) []ast.Node {
 		return false
 	})
 	return out
-}
-
-// ---- lexical tier (v1), used when the pass has no program view ----
-
-// runLexical is the original intraprocedural check: a masking call
-// must appear lexically before each sink call in the same function.
-func runLexical(pass *framework.Pass) {
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFuncLexical(pass, fd)
-		}
-	}
-}
-
-// sink is one durable-write call found in a function body.
-type sink struct {
-	pos  token.Pos
-	name string // display name, e.g. "store.ApplyBatch"
-}
-
-// checkFuncLexical walks one function body (closures included — they
-// share the enclosing function's lexical scope) and reports every sink
-// call with no masking call lexically before it.
-func checkFuncLexical(pass *framework.Pass, fd *ast.FuncDecl) {
-	maskPos := token.NoPos // earliest masking call in the body
-	var sinks []sink
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isMaskCall(pass.TypesInfo, call) {
-			if !maskPos.IsValid() || call.Pos() < maskPos {
-				maskPos = call.Pos()
-			}
-			return true
-		}
-		if name := sinkName(pass.TypesInfo, call); name != "" {
-			sinks = append(sinks, sink{pos: call.Pos(), name: name})
-		}
-		return true
-	})
-	for _, s := range sinks {
-		if maskPos.IsValid() && maskPos < s.pos {
-			continue
-		}
-		pass.Reportf(s.pos, "%s without a prior masking call in this function: ingest code must run the masking stage (mask.Masker or a mask* helper) before durable writes", s.name)
-	}
 }
 
 // isMaskCall reports whether call invokes the masking stage: any

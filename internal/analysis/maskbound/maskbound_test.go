@@ -1,11 +1,9 @@
 package maskbound_test
 
 import (
-	"go/token"
 	"testing"
 
 	"repro/internal/analysis/analysistest"
-	"repro/internal/analysis/framework"
 	"repro/internal/analysis/maskbound"
 )
 
@@ -14,38 +12,9 @@ func TestMaskBound(t *testing.T) {
 	analysistest.Run(t, maskbound.Analyzer, "internal/server")
 }
 
-// TestMaskBoundEvasions pins the interprocedural tier on the shapes the
-// lexical tier cannot see: helper-wrapped sinks, mask-after-store
-// through a helper, and a conditional mask that fails to dominate a
-// direct sink.
+// TestMaskBoundEvasions pins the shapes a per-function lexical check
+// cannot see: helper-wrapped sinks, mask-after-store through a helper,
+// and a conditional mask that fails to dominate a direct sink.
 func TestMaskBoundEvasions(t *testing.T) {
 	analysistest.Run(t, maskbound.Analyzer, "evasion/internal/core", "internal/pipeline")
-}
-
-// TestMaskBoundLexicalMisses proves the evasion fixtures are genuine
-// evasions of the v1 check: run the analyzer over the same fixture
-// units through Program-less passes (which select the lexical tier) and
-// require silence on every one of them.
-func TestMaskBoundLexicalMisses(t *testing.T) {
-	fset, units := analysistest.LoadFixture(t, "evasion/internal/core", "internal/pipeline")
-	for _, u := range units {
-		var got []string
-		pass := &framework.Pass{
-			Analyzer:  maskbound.Analyzer,
-			Fset:      fset,
-			Files:     u.Files,
-			Path:      u.Path,
-			Pkg:       u.Pkg,
-			TypesInfo: u.Info,
-			Report: func(pos token.Pos, message string) {
-				got = append(got, fset.Position(pos).String()+": "+message)
-			},
-		}
-		if err := maskbound.Analyzer.Run(pass); err != nil {
-			t.Fatalf("lexical tier over %s: %v", u.Path, err)
-		}
-		for _, d := range got {
-			t.Errorf("lexical tier unexpectedly caught an evasion fixture (not an evasion after all): %s", d)
-		}
-	}
 }

@@ -1,7 +1,6 @@
-// Evasion fixture for the interprocedural maskbound tier: every
-// flagged shape here is invisible to the lexical (v1) check —
-// TestMaskBoundLexicalMisses pins that — and caught by the call-graph
-// tier.
+// Evasion fixture for maskbound: every flagged shape here is invisible
+// to a per-function "mask call before sink call" check, and caught
+// through the call graph and the dominance test.
 package core
 
 import (
@@ -26,14 +25,14 @@ func (e *engine) maskAll(msgs []string) []string {
 }
 
 // Helper-wrapped sink: the sink call lives in internal/pipeline, so
-// this body contains no durable write the lexical tier can see.
+// this body contains no durable write of its own.
 func (e *engine) helperWrapped(msgs []string) error {
 	return pipeline.Persist(e.st, "svc") // want `call to Persist reaches store\.ApplyBatch without a prior masking call`
 }
 
 // Mask-after-store through a helper: the masking stage runs, but only
 // after the wrapped write has already persisted raw text. Lexically
-// there is a mask call and no sink, so v1 sees nothing.
+// there is a mask call and no sink.
 func (e *engine) maskAfterStore(msgs []string) error {
 	err := pipeline.Persist(e.st, "svc") // want `call to Persist reaches store\.ApplyBatch without a prior masking call`
 	e.maskAll(msgs)
@@ -41,8 +40,7 @@ func (e *engine) maskAfterStore(msgs []string) error {
 }
 
 // Conditional mask: the masking call appears lexically before the sink
-// (v1-clean) but only runs on the debug path, so the write is not
-// dominated.
+// but only runs on the debug path, so the write is not dominated.
 func (e *engine) condMask(msgs []string) error {
 	if e.debug {
 		e.maskAll(msgs)

@@ -1,8 +1,8 @@
 // Fixture: a helper package between the ingest layer and the durable
-// sinks. Wrapping a sink in a helper used to evade the lexical
-// maskbound check entirely (the helper lives outside internal/core and
-// internal/server, and the caller's body contains no sink call); the
-// interprocedural tier traces the call chain through here.
+// sinks. Wrapping a sink in a helper evades any per-function check (the
+// helper lives outside internal/core and internal/server, and the
+// caller's body contains no sink call); maskbound traces the call chain
+// through here.
 package pipeline
 
 import (

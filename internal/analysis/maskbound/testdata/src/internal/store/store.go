@@ -7,7 +7,3 @@ type Op struct{}
 type Store struct{}
 
 func (s *Store) ApplyBatch(service string, ops []Op) ([]string, error) { return nil, nil }
-
-func (s *Store) Upsert(id string) error { return nil }
-
-func (s *Store) TouchIn(service, id string) error { return nil }

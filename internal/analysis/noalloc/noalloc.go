@@ -86,9 +86,8 @@ type violation struct {
 	what string
 }
 
-// checker resolves callees to their declarations (through the call
-// graph when the pass has a whole-program view, through the unit's own
-// definitions otherwise) and memoizes bottom-up allocation summaries.
+// checker resolves callees to their declarations through the call graph
+// and memoizes bottom-up allocation summaries.
 type checker struct {
 	lookup func(fn *types.Func) (*ast.FuncDecl, *types.Info, bool)
 	// memo: summary per callgraph.Key. "" = allocation-free; non-empty
@@ -100,33 +99,19 @@ type checker struct {
 }
 
 func checkerFor(pass *framework.Pass) *checker {
-	c := &checker{memo: make(map[string]string), computing: make(map[string]bool)}
-	if g := callgraph.For(pass); g != nil {
-		shared := pass.Facts.Memo("noalloc.checker", func() any { return c }).(*checker)
-		shared.lookup = func(fn *types.Func) (*ast.FuncDecl, *types.Info, bool) {
-			if n := g.Node(fn); n != nil {
-				return n.Decl, n.Unit.TypesInfo, true
-			}
-			return nil, nil, false
-		}
-		return shared
-	}
-	// Ad-hoc single-unit run: resolve within the unit only.
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name != nil {
-				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = fd
+	g := callgraph.For(pass)
+	return pass.Facts.Memo("noalloc.checker", func() any {
+		return &checker{
+			memo:      make(map[string]string),
+			computing: make(map[string]bool),
+			lookup: func(fn *types.Func) (*ast.FuncDecl, *types.Info, bool) {
+				if n := g.Node(fn); n != nil {
+					return n.Decl, n.Unit.TypesInfo, true
 				}
-			}
+				return nil, nil, false
+			},
 		}
-	}
-	c.lookup = func(fn *types.Func) (*ast.FuncDecl, *types.Info, bool) {
-		fd, ok := decls[fn]
-		return fd, pass.TypesInfo, ok
-	}
-	return c
+	}).(*checker)
 }
 
 // summary returns "" when fn is allocation-free, or a description of

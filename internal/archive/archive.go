@@ -13,11 +13,11 @@
 // readers ignore temporary files, so a crash mid-flush can lose the
 // unsealed in-memory tail but can never surface a torn block. Every
 // record appended before a completed Flush is queryable after reopen
-// (internal/archive/crashtest proves both properties under systematic
+// (internal/crashtest proves both properties under systematic
 // crash schedules).
 //
 // All file I/O goes through the internal/vfs seam, so the fault
-// injection and crash harnesses built for the pattern store apply
+// injection and the crash harness built for the pattern store apply
 // unchanged — the vfsonly analyzer enforces this.
 package archive
 

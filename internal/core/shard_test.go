@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -23,15 +24,12 @@ func TestTouchUnknownRecovers(t *testing.T) {
 	if _, err := e.AnalyzeByService(sshdBatch(50, 1), now); err != nil {
 		t.Fatal(err)
 	}
-	// Delete everything from the store behind the parser's back.
-	var deleted int
-	for _, p := range e.Store().All() {
-		if err := e.Store().Delete(p.ID); err != nil {
-			t.Fatal(err)
-		}
-		deleted++
+	// Purge everything from the store behind the parser's back.
+	deleted, err := e.Store().PurgeIDs(math.MaxInt64, now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if deleted == 0 {
+	if len(deleted) == 0 {
 		t.Fatal("no patterns to delete; test setup broken")
 	}
 	if e.PatternCount() == 0 {

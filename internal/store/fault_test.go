@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -56,9 +57,7 @@ func TestFlushSurfacesWriteAndSyncFailures(t *testing.T) {
 	st := openFault(t, f, 1)
 	m := obs.New()
 	st.SetMetrics(m)
-	if err := st.Upsert(mkPattern(t, "svc", "hello world")); err != nil {
-		t.Fatalf("Upsert: %v", err)
-	}
+	upsert(t, st, mkPattern(t, "svc", "hello world"))
 
 	f.FailWrite(1)
 	if err := st.Flush(); !errors.Is(err, vfs.ErrInjected) {
@@ -70,9 +69,7 @@ func TestFlushSurfacesWriteAndSyncFailures(t *testing.T) {
 
 	// bufio dropped its buffer on the failed flush; new mutations must
 	// still reach the journal once the disk recovers.
-	if err := st.Upsert(mkPattern(t, "svc", "second pattern")); err != nil {
-		t.Fatalf("Upsert after failed flush: %v", err)
-	}
+	upsert(t, st, mkPattern(t, "svc", "second pattern"))
 
 	f.FailSync(1)
 	if err := st.Flush(); !errors.Is(err, vfs.ErrInjected) {
@@ -104,17 +101,13 @@ func TestCompactSurfacesSnapshotFailure(t *testing.T) {
 	m := obs.New()
 	st.SetMetrics(m)
 	for i := 0; i < 4; i++ {
-		if err := st.Upsert(mkPattern(t, fmt.Sprintf("svc%d", i), "alpha beta gamma")); err != nil {
-			t.Fatalf("Upsert: %v", err)
-		}
+		upsert(t, st, mkPattern(t, fmt.Sprintf("svc%d", i), "alpha beta gamma"))
 	}
 	if err := st.Compact(); err != nil {
 		t.Fatalf("first Compact: %v", err)
 	}
 
-	if err := st.Upsert(mkPattern(t, "svc9", "delta epsilon")); err != nil {
-		t.Fatalf("Upsert: %v", err)
-	}
+	upsert(t, st, mkPattern(t, "svc9", "delta epsilon"))
 	f.SetDiskBudget(10) // not enough for the snapshot
 	if err := st.Compact(); !errors.Is(err, vfs.ErrNoSpace) {
 		t.Fatalf("Compact over budget = %v, want ErrNoSpace", err)
@@ -136,15 +129,58 @@ func TestCompactSurfacesSnapshotFailure(t *testing.T) {
 	}
 }
 
+// TestPurgeReportsRemovalsOnFailedAppend fails the journal's bufio
+// drain partway through a purge. Every pattern the purge took out of
+// memory must be in the returned IDs, including the one whose delete
+// record could not be appended: the engine evicts exactly those IDs
+// from its parser, and a pattern left there would be touched unknown by
+// the next batch and re-seeded, silently undoing the purge.
+func TestPurgeReportsRemovalsOnFailedAppend(t *testing.T) {
+	f := vfs.NewFault()
+	st := openFault(t, f, 1)
+	// Enough patterns that their delete records overflow the 4 KiB bufio
+	// buffer, so the purge's own appends drain it to the disk.
+	ops := make([]Op, 0, 400)
+	for i := 0; i < 400; i++ {
+		ops = append(ops, Op{Kind: OpUpsert, Pattern: mkPattern(t, "svc", fmt.Sprintf("event %d done", i))})
+	}
+	if _, err := st.ApplyBatch("svc", ops); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	before := st.All()
+	f.SetDiskBudget(0) // the next bufio drain fails
+	removed, err := st.PurgeIDs(math.MaxInt64, time.Now().Add(time.Hour))
+	if !errors.Is(err, vfs.ErrNoSpace) {
+		t.Fatalf("PurgeIDs = %v, want ErrNoSpace", err)
+	}
+	if st.Count() == 0 {
+		t.Fatal("purge ran to completion; the injected failure did not land mid-purge")
+	}
+	reported := make(map[string]bool, len(removed))
+	for _, id := range removed {
+		reported[id] = true
+	}
+	for _, p := range before {
+		if _, ok := st.Get(p.ID); !ok && !reported[p.ID] {
+			t.Fatalf("pattern %s removed from the store but missing from the returned IDs (%d reported, %d removed)",
+				p.ID, len(removed), len(before)-st.Count())
+		}
+	}
+	if len(removed) != len(before)-st.Count() {
+		t.Fatalf("returned %d IDs, store lost %d patterns", len(removed), len(before)-st.Count())
+	}
+}
+
 // TestTornJournalTailTolerated writes a journal whose final record is
 // torn mid-byte (as a crash during an append would leave it) and checks
 // replay keeps every whole record and never errors.
 func TestTornJournalTailTolerated(t *testing.T) {
 	f := vfs.NewFault()
 	st := openFault(t, f, 1)
-	if err := st.Upsert(mkPattern(t, "svc", "first message here")); err != nil {
-		t.Fatalf("Upsert: %v", err)
-	}
+	upsert(t, st, mkPattern(t, "svc", "first message here"))
 	if err := st.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -172,12 +208,8 @@ func TestStaleEpochRecordsSkipped(t *testing.T) {
 	f := vfs.NewFault()
 	st := openFault(t, f, 1)
 	p := mkPattern(t, "svc", "request took ms")
-	if err := st.Upsert(p); err != nil {
-		t.Fatalf("Upsert: %v", err)
-	}
-	if err := st.Touch(p.ID, 4, time.Now(), ""); err != nil {
-		t.Fatalf("Touch: %v", err)
-	}
+	upsert(t, st, p)
+	touch(t, st, p, 4, time.Now(), "")
 	base, ok := st.Get(p.ID)
 	if !ok {
 		t.Fatal("pattern missing before close")

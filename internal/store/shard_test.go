@@ -7,9 +7,9 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,27 +19,23 @@ import (
 	"repro/internal/patterns"
 )
 
-// runOps drives one deterministic mutation sequence against a store.
+// runOps drives one deterministic mutation sequence against a store:
+// batches that upsert a pattern and touch it, then a purge.
 func runOps(t *testing.T, s *Store) {
 	t.Helper()
 	for i := 0; i < 40; i++ {
 		svc := fmt.Sprintf("svc%d", i%7)
 		p := pat(t, fmt.Sprintf("event %d in %%string%%", i), svc)
-		if err := s.Upsert(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Touch(p.ID, int64(i), t0.Add(time.Duration(i)*time.Minute), fmt.Sprintf("event %d in x", i)); err != nil {
-			t.Fatal(err)
+		unknown, err := s.ApplyBatch(svc, []Op{
+			{Kind: OpUpsert, Pattern: p},
+			{Kind: OpTouch, ID: p.ID, N: int64(i), When: t0.Add(time.Duration(i) * time.Minute), Example: fmt.Sprintf("event %d in x", i)},
+		})
+		if err != nil || len(unknown) > 0 {
+			t.Fatalf("ApplyBatch = %v, %v", unknown, err)
 		}
 	}
-	// A few deletes and a purge exercise the remaining mutation paths.
-	victim := pat(t, "event 39 in %string%", "svc4")
-	victim.ComputeID()
-	if err := s.Delete(victim.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Purge(3, t0.Add(2*time.Minute)); err != nil {
-		t.Fatal(err)
+	if ids, err := s.PurgeIDs(3, t0.Add(2*time.Minute)); err != nil || len(ids) != 2 {
+		t.Fatalf("PurgeIDs = %v, %v; want 2 IDs", ids, err)
 	}
 }
 
@@ -199,14 +195,8 @@ func TestTornJournalMidFileSharded(t *testing.T) {
 	}
 	pa := pat(t, "alpha %string%", "alpha")
 	pb := pat(t, "beta %string%", "beta")
-	for _, p := range []*patterns.Pattern{pa, pb} {
-		if err := s.Upsert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Touch(pa.ID, 4, t0.Add(time.Hour), ""); err != nil {
-		t.Fatal(err)
-	}
+	upsert(t, s, pa, pb)
+	touch(t, s, pa, 4, t0.Add(time.Hour), "")
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -259,9 +249,7 @@ func TestShardCountGrowthCompactsOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pat(t, "doomed %string% event", svc)
-	if err := s1.Upsert(p); err != nil {
-		t.Fatal(err)
-	}
+	upsert(t, s1, p)
 	if err := s1.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +265,8 @@ func TestShardCountGrowthCompactsOnOpen(t *testing.T) {
 	if _, ok := s2.Get(p.ID); !ok {
 		t.Fatal("pattern lost across shard-count change")
 	}
-	if err := s2.Delete(p.ID); err != nil {
-		t.Fatal(err)
+	if ids, err := s2.PurgeIDs(math.MaxInt64, t0.Add(time.Hour)); err != nil || len(ids) != 1 {
+		t.Fatalf("PurgeIDs = %v, %v; want the one pattern", ids, err)
 	}
 	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
@@ -305,9 +293,7 @@ func TestReturnedPatternsAreDeepCopies(t *testing.T) {
 	defer s.Close()
 	p := pat(t, "hello %string% world", "svc")
 	p.Examples = []string{"hello a world"}
-	if err := s.Upsert(p); err != nil {
-		t.Fatal(err)
-	}
+	upsert(t, s, p)
 	for name, fetch := range map[string]func() *patterns.Pattern{
 		"Get":       func() *patterns.Pattern { g, _ := s.Get(p.ID); return g },
 		"All":       func() *patterns.Pattern { return s.All()[0] },
@@ -327,15 +313,13 @@ func TestReturnedPatternsAreDeepCopies(t *testing.T) {
 }
 
 // TestReturnedPatternMutationRace mutates returned patterns while
-// concurrent Upserts merge into the same stored pattern; with deep
+// concurrent upserts merge into the same stored pattern; with deep
 // copies this is race-free (run under -race).
 func TestReturnedPatternMutationRace(t *testing.T) {
 	s, _ := OpenOptions("", Options{Shards: 4})
 	defer s.Close()
 	base := pat(t, "racy %string% event", "svc")
-	if err := s.Upsert(base); err != nil {
-		t.Fatal(err)
-	}
+	upsert(t, s, base)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -343,7 +327,7 @@ func TestReturnedPatternMutationRace(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			p := pat(t, "racy %string% event", "svc")
 			p.Examples = []string{fmt.Sprintf("racy %d event", i)}
-			if err := s.Upsert(p); err != nil {
+			if _, err := s.ApplyBatch("svc", []Op{{Kind: OpUpsert, Pattern: p}}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -365,30 +349,4 @@ func TestReturnedPatternMutationRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-// TestTouchInRoutesByService: TouchIn must find patterns through the
-// service shard and report unknown IDs with ErrUnknownPattern.
-func TestTouchInRoutesByService(t *testing.T) {
-	s, _ := OpenOptions("", Options{Shards: 8})
-	defer s.Close()
-	p := pat(t, "routed %string%", "svc")
-	if err := s.Upsert(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.TouchIn("svc", p.ID, 2, t0.Add(time.Minute), ""); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Get(p.ID)
-	if got.Count != 3 {
-		t.Errorf("count after TouchIn = %d, want 3", got.Count)
-	}
-	err := s.TouchIn("svc", "no-such-id", 1, t0, "")
-	if !errors.Is(err, ErrUnknownPattern) {
-		t.Errorf("TouchIn unknown id: err = %v, want ErrUnknownPattern", err)
-	}
-	// Unknown through the probing Touch as well.
-	if err := s.Touch("no-such-id", 1, t0, ""); !errors.Is(err, ErrUnknownPattern) {
-		t.Errorf("Touch unknown id: err = %v, want ErrUnknownPattern", err)
-	}
 }

@@ -41,7 +41,7 @@
 // All disk access goes through an injectable filesystem (internal/vfs):
 // production runs on vfs.OS, tests on vfs.Fault, which can fail or tear
 // any write and freeze the simulated disk at every step
-// (internal/store/crashtest drives the full crash matrix). The contract:
+// (internal/crashtest drives the full crash matrix). The contract:
 //
 //   - A mutation is acknowledged-durable once a subsequent Flush, Compact
 //     or Close returns nil: Flush fsyncs every journal, Compact fsyncs
@@ -97,12 +97,6 @@ func journalName(i int) string { return fmt.Sprintf("journal-%03d.wal", i) }
 // ErrClosed is returned by every mutating method after Close. Test with
 // errors.Is.
 var ErrClosed = errors.New("store: closed")
-
-// ErrUnknownPattern is wrapped by Touch/TouchIn when the pattern ID is
-// not in the store — typically because a concurrent Purge removed it
-// between match and flush. Callers that can re-upsert should treat it as
-// recoverable; test with errors.Is.
-var ErrUnknownPattern = errors.New("store: unknown pattern")
 
 // Options tunes OpenOptions.
 type Options struct {
@@ -588,31 +582,6 @@ func (s *Store) maybeCompact() error {
 	return nil
 }
 
-// Upsert inserts a pattern or merges it with the stored pattern of the
-// same ID (summing counts, merging examples, widening the activity
-// window). The argument is not retained and not mutated: a pattern
-// handed in without an ID is journaled and stored under its computed
-// ID, but the caller's copy is left untouched.
-func (s *Store) Upsert(p *patterns.Pattern) error {
-	p = withID(p)
-	sh := s.shardFor(p.Service)
-	sh.lock()
-	if s.closed.Load() {
-		sh.mu.Unlock()
-		return ErrClosed
-	}
-	sh.mergeLocked(p)
-	s.m.StoreUpserts.Inc()
-	s.m.StoreShardOps.Inc(sh.id)
-	s.m.StorePatterns.Set(s.count.Load())
-	err := sh.logLocked(record{Op: "upsert", Pattern: p})
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.maybeCompact()
-}
-
 // withID returns p itself when its ID is set, or a clone carrying the
 // computed ID otherwise — never writing through the caller's pattern.
 func withID(p *patterns.Pattern) *patterns.Pattern {
@@ -622,56 +591,6 @@ func withID(p *patterns.Pattern) *patterns.Pattern {
 	cp := p.Clone()
 	cp.ID = patterns.HashID(cp.Text(), cp.Service)
 	return cp
-}
-
-// Touch records n additional matches of pattern id at time when, with an
-// optional example message. Without the service the ID cannot be routed,
-// so Touch probes every shard; hot paths that know the service should
-// use TouchIn.
-func (s *Store) Touch(id string, n int64, when time.Time, example string) error {
-	for _, sh := range s.shards {
-		done, err := sh.touch(id, n, when, example)
-		if err != nil || done {
-			return err
-		}
-	}
-	return fmt.Errorf("store: touch unknown pattern %s: %w", id, ErrUnknownPattern)
-}
-
-// TouchIn is Touch for a known service: it locks only that service's
-// shard, which is what lets concurrent service partitions flush their
-// match statistics without contending.
-func (s *Store) TouchIn(service, id string, n int64, when time.Time, example string) error {
-	done, err := s.shardFor(service).touch(id, n, when, example)
-	if err != nil {
-		return err
-	}
-	if !done {
-		return fmt.Errorf("store: touch unknown pattern %s: %w", id, ErrUnknownPattern)
-	}
-	return nil
-}
-
-func (sh *shard) touch(id string, n int64, when time.Time, example string) (bool, error) {
-	s := sh.st
-	sh.lock()
-	if s.closed.Load() {
-		sh.mu.Unlock()
-		return false, ErrClosed
-	}
-	r := record{Op: "touch", ID: id, N: n, When: when, Example: example}
-	if !sh.touchLocked(r) {
-		sh.mu.Unlock()
-		return false, nil
-	}
-	s.m.StoreTouches.Inc()
-	s.m.StoreShardOps.Inc(sh.id)
-	err := sh.logLocked(r)
-	sh.mu.Unlock()
-	if err != nil {
-		return true, err
-	}
-	return true, s.maybeCompact()
 }
 
 // OpKind discriminates the operations of an ApplyBatch batch.
@@ -712,19 +631,34 @@ type pendingTouch struct {
 // upserts are journaled in order, and every touch of the same pattern
 // ID is coalesced into one record (counts summed, latest match time,
 // first example kept), so a pattern matched a thousand times in the
-// batch costs one record and the whole batch costs one write. This is
-// the engine's per-service persistence path; the per-call methods
-// (Upsert, TouchIn) remain for callers outside the batch workflow.
+// batch costs one record and the whole batch costs one write. It is the
+// store's only upsert and touch path: the engine's per-service commit
+// and MergeFrom both go through it.
 //
 // Touches apply against the store state at their position in the
 // batch: a touch of an ID upserted earlier in the same batch succeeds.
 // Touches of IDs the store does not hold are not errors — their IDs
-// are returned (deduplicated) so the caller can re-seed the patterns,
-// mirroring TouchIn's ErrUnknownPattern contract; everything else in
-// the batch still commits.
+// are returned (deduplicated) so the caller can re-seed the patterns;
+// everything else in the batch still commits. A malformed batch (nil
+// pattern, foreign service, unknown op kind) is rejected whole, before
+// anything is applied.
 func (s *Store) ApplyBatch(service string, ops []Op) (unknown []string, err error) {
 	if len(ops) == 0 {
 		return nil, nil
+	}
+	for i := range ops {
+		switch op := &ops[i]; op.Kind {
+		case OpUpsert:
+			if op.Pattern == nil {
+				return nil, errors.New("store: batch upsert with nil pattern")
+			}
+			if op.Pattern.Service != service {
+				return nil, fmt.Errorf("store: batch upsert for service %q in a batch for %q", op.Pattern.Service, service)
+			}
+		case OpTouch:
+		default:
+			return nil, fmt.Errorf("store: unknown batch op kind %d", op.Kind)
+		}
 	}
 	sh := s.shardFor(service)
 	sh.lock()
@@ -743,20 +677,12 @@ func (s *Store) ApplyBatch(service string, ops []Op) (unknown []string, err erro
 		op := &ops[i]
 		switch op.Kind {
 		case OpUpsert:
-			if op.Pattern == nil {
-				sh.mu.Unlock()
-				return unknown, errors.New("store: batch upsert with nil pattern")
-			}
-			if op.Pattern.Service != service {
-				sh.mu.Unlock()
-				return unknown, fmt.Errorf("store: batch upsert for service %q in a batch for %q", op.Pattern.Service, service)
-			}
 			p := withID(op.Pattern)
 			sh.mergeLocked(p)
 			upserts = append(upserts, p)
 			s.m.StoreUpserts.Inc()
 			s.m.StoreShardOps.Inc(sh.id)
-		case OpTouch:
+		default: // OpTouch, as validated above
 			if !sh.touchLocked(record{Op: codec.OpTouch, ID: op.ID, N: op.N, When: op.When, Example: op.Example}) {
 				if !unknownSet[op.ID] {
 					if unknownSet == nil {
@@ -786,9 +712,6 @@ func (s *Store) ApplyBatch(service string, ops []Op) (unknown []string, err erro
 			}
 			touchIdx[op.ID] = len(touches)
 			touches = append(touches, pendingTouch{id: op.ID, n: op.N, when: op.When, example: op.Example})
-		default:
-			sh.mu.Unlock()
-			return unknown, fmt.Errorf("store: unknown batch op kind %d", op.Kind)
 		}
 	}
 	s.m.StorePatterns.Set(s.count.Load())
@@ -837,43 +760,19 @@ func (s *Store) ApplyBatch(service string, ops []Op) (unknown []string, err erro
 	return unknown, s.maybeCompact()
 }
 
-// Delete removes a pattern by ID.
-func (s *Store) Delete(id string) error {
-	for _, sh := range s.shards {
-		sh.lock()
-		if s.closed.Load() {
-			sh.mu.Unlock()
-			return ErrClosed
-		}
-		if !sh.deleteLocked(id) {
-			sh.mu.Unlock()
-			continue
-		}
-		s.m.StoreDeletes.Inc()
-		s.m.StoreShardOps.Inc(sh.id)
-		s.m.StorePatterns.Set(s.count.Load())
-		err := sh.logLocked(record{Op: "delete", ID: id})
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		return s.maybeCompact()
-	}
-	return nil
-}
-
-// Purge deletes patterns matched fewer than minCount times whose last
-// match is before olderThan, returning how many were removed. This is the
-// paper's save threshold: "any pattern whose count of matches is less than
-// the threshold is considered useless and thus not saved" (§IV).
-func (s *Store) Purge(minCount int64, olderThan time.Time) (int, error) {
-	ids, err := s.PurgeIDs(minCount, olderThan)
-	return len(ids), err
-}
-
-// PurgeIDs is Purge returning the IDs of the removed patterns, so the
-// caller can evict them from derived state (the engine removes them from
-// its parser to keep store and parser in sync).
+// PurgeIDs deletes patterns matched fewer than minCount times whose last
+// match is before olderThan and returns their IDs, so the caller can
+// evict them from derived state (the engine removes them from its parser
+// to keep store and parser in sync). This is the paper's save threshold:
+// "any pattern whose count of matches is less than the threshold is
+// considered useless and thus not saved" (§IV). It is the store's only
+// delete path.
+//
+// On error the returned IDs still name every pattern removed from
+// memory, including the one whose journal append failed: the next Flush
+// makes those removals durable through a compaction, so a caller that
+// kept one of them in its parser would re-seed a pattern the store
+// already dropped.
 func (s *Store) PurgeIDs(minCount int64, olderThan time.Time) ([]string, error) {
 	var removed []string
 	for _, sh := range s.shards {
@@ -886,16 +785,17 @@ func (s *Store) PurgeIDs(minCount int64, olderThan time.Time) ([]string, error) 
 		for id, p := range sh.byID {
 			if p.Count < minCount && p.LastMatched.Before(olderThan) {
 				sh.deleteLocked(id)
+				removed = append(removed, id)
 				s.m.StoreDeletes.Inc()
 				s.m.StoreShardOps.Inc(sh.id)
-				if err = sh.logLocked(record{Op: "delete", ID: id}); err != nil {
+				if err = sh.logLocked(record{Op: codec.OpDelete, ID: id}); err != nil {
 					break
 				}
-				removed = append(removed, id)
 			}
 		}
 		sh.mu.Unlock()
 		if err != nil {
+			s.m.StorePatterns.Set(s.count.Load())
 			return removed, err
 		}
 	}
@@ -908,10 +808,17 @@ func (s *Store) PurgeIDs(minCount int64, olderThan time.Time) ([]string, error) 
 // scaling the paper describes in §IV: groups of services can be sent to
 // any number of Sequence-RTG instances, "each instance could have its own
 // database as there is no crossover with patterns between different
-// services" — and their databases recombine losslessly.
+// services" — and their databases recombine losslessly. Each service's
+// patterns commit as one ApplyBatch.
 func (s *Store) MergeFrom(other *Store) error {
-	for _, p := range other.All() {
-		if err := s.Upsert(p); err != nil {
+	all := other.All() // sorted by service: each service is one run
+	for i := 0; i < len(all); {
+		svc := all[i].Service
+		var ops []Op
+		for ; i < len(all) && all[i].Service == svc; i++ {
+			ops = append(ops, Op{Kind: OpUpsert, Pattern: all[i]})
+		}
+		if _, err := s.ApplyBatch(svc, ops); err != nil {
 			return fmt.Errorf("store: merge: %w", err)
 		}
 	}

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -56,6 +58,28 @@ func pat(t testing.TB, text, service string) *patterns.Pattern {
 	return p
 }
 
+// upsert commits each pattern through ApplyBatch, one batch per pattern.
+func upsert(t testing.TB, s *Store, ps ...*patterns.Pattern) {
+	t.Helper()
+	for _, p := range ps {
+		if _, err := s.ApplyBatch(p.Service, []Op{{Kind: OpUpsert, Pattern: p}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// touch commits n matches of the stored pattern p through ApplyBatch.
+func touch(t testing.TB, s *Store, p *patterns.Pattern, n int64, when time.Time, example string) {
+	t.Helper()
+	unknown, err := s.ApplyBatch(p.Service, []Op{{Kind: OpTouch, ID: p.ID, N: n, When: when, Example: example}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unknown) > 0 {
+		t.Fatalf("touch of unknown pattern %s", p.ID)
+	}
+}
+
 func TestInMemoryCRUD(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
@@ -64,9 +88,7 @@ func TestInMemoryCRUD(t *testing.T) {
 	defer s.Close()
 
 	p := pat(t, "%action% from %srcip% port %srcport%", "sshd")
-	if err := s.Upsert(p); err != nil {
-		t.Fatal(err)
-	}
+	upsert(t, s, p)
 	got, ok := s.Get(p.ID)
 	if !ok || got.Text() != p.Text() {
 		t.Fatalf("Get: %v %v", got, ok)
@@ -74,8 +96,8 @@ func TestInMemoryCRUD(t *testing.T) {
 	if s.Count() != 1 {
 		t.Fatalf("Count = %d", s.Count())
 	}
-	if err := s.Delete(p.ID); err != nil {
-		t.Fatal(err)
+	if ids, err := s.PurgeIDs(math.MaxInt64, t0.Add(time.Hour)); err != nil || len(ids) != 1 || ids[0] != p.ID {
+		t.Fatalf("PurgeIDs = %v, %v; want [%s]", ids, err, p.ID)
 	}
 	if s.Count() != 0 {
 		t.Fatalf("Count after delete = %d", s.Count())
@@ -89,17 +111,13 @@ func TestUpsertMergesStatistics(t *testing.T) {
 	a := pat(t, "hello %string%", "svc")
 	a.Count = 3
 	a.Examples = []string{"hello x"}
-	if err := s.Upsert(a); err != nil {
-		t.Fatal(err)
-	}
+	upsert(t, s, a)
 
 	b := pat(t, "hello %string%", "svc")
 	b.Count = 4
 	b.LastMatched = t0.Add(time.Hour)
 	b.Examples = []string{"hello y", "hello x"}
-	if err := s.Upsert(b); err != nil {
-		t.Fatal(err)
-	}
+	upsert(t, s, b)
 
 	got, _ := s.Get(a.ID)
 	if got.Count != 7 {
@@ -113,23 +131,6 @@ func TestUpsertMergesStatistics(t *testing.T) {
 	}
 }
 
-func TestTouch(t *testing.T) {
-	s, _ := Open("")
-	defer s.Close()
-	p := pat(t, "hello %string%", "svc")
-	s.Upsert(p)
-	if err := s.Touch(p.ID, 5, t0.Add(time.Minute), "hello z"); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Get(p.ID)
-	if got.Count != 6 || len(got.Examples) != 1 {
-		t.Errorf("after touch: count=%d examples=%v", got.Count, got.Examples)
-	}
-	if err := s.Touch("nonexistent", 1, t0, ""); err == nil {
-		t.Error("Touch of unknown ID should error")
-	}
-}
-
 func TestPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -138,9 +139,8 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	p1 := pat(t, "%action% from %srcip% port %srcport%", "sshd")
 	p2 := pat(t, "job %integer% finished in %float% s", "slurm")
-	s.Upsert(p1)
-	s.Upsert(p2)
-	s.Touch(p1.ID, 10, t0.Add(time.Hour), "accepted from 1.2.3.4 port 22")
+	upsert(t, s, p1, p2)
+	touch(t, s, p1, 10, t0.Add(time.Hour), "accepted from 1.2.3.4 port 22")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,8 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pat(t, "crashy %string%", "svc")
-	s.Upsert(p)
-	s.Touch(p.ID, 3, t0.Add(time.Minute), "")
+	upsert(t, s, p)
+	touch(t, s, p, 3, t0.Add(time.Minute), "")
 	if err := s.Flush(); err != nil { // data reaches the journal file
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestTornJournalTolerated(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	p := pat(t, "fine %string%", "svc")
-	s.Upsert(p)
+	upsert(t, s, p)
 	s.Flush()
 	shardJournal := journalName(s.shardFor("svc").id)
 	crash(s)
@@ -236,15 +236,14 @@ func TestPurge(t *testing.T) {
 	strong := pat(t, "strong %string%", "svc")
 	strong.Count = 100
 	strong.LastMatched = t0
-	s.Upsert(weak)
-	s.Upsert(strong)
+	upsert(t, s, weak, strong)
 
-	n, err := s.Purge(5, t0.Add(24*time.Hour))
+	ids, err := s.PurgeIDs(5, t0.Add(24*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("purged %d, want 1", n)
+	if len(ids) != 1 || ids[0] != weak.ID {
+		t.Fatalf("purged %v, want [%s]", ids, weak.ID)
 	}
 	if _, ok := s.Get(strong.ID); !ok {
 		t.Error("strong pattern must survive purge")
@@ -257,9 +256,7 @@ func TestPurge(t *testing.T) {
 func TestByServiceAndServices(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
-	s.Upsert(pat(t, "a %string%", "sshd"))
-	s.Upsert(pat(t, "b %string%", "sshd"))
-	s.Upsert(pat(t, "c %string%", "cron"))
+	upsert(t, s, pat(t, "a %string%", "sshd"), pat(t, "b %string%", "sshd"), pat(t, "c %string%", "cron"))
 
 	if got := s.Services(); len(got) != 2 || got[0] != "cron" || got[1] != "sshd" {
 		t.Errorf("Services = %v", got)
@@ -273,7 +270,7 @@ func TestCompactTruncatesJournal(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	for i := 0; i < 20; i++ {
-		s.Upsert(pat(t, fmt.Sprintf("event %d %%string%%", i), "svc"))
+		upsert(t, s, pat(t, fmt.Sprintf("event %d %%string%%", i), "svc"))
 	}
 	s.Flush()
 	if err := s.Compact(); err != nil {
@@ -303,13 +300,9 @@ func TestAutoCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pat(t, "hot %integer% path", "svc")
-	if err := s.Upsert(p); err != nil {
-		t.Fatal(err)
-	}
+	upsert(t, s, p)
 	for i := 0; i < compactAfter; i++ {
-		if err := s.Touch(p.ID, 1, t0, ""); err != nil {
-			t.Fatal(err)
-		}
+		touch(t, s, p, 1, t0, "")
 	}
 	// The journals must have been truncated by the automatic compaction.
 	s.Flush()
@@ -334,8 +327,11 @@ func TestAutoCompaction(t *testing.T) {
 func TestClosedStoreErrors(t *testing.T) {
 	s, _ := Open("")
 	s.Close()
-	if err := s.Upsert(pat(t, "x %string%", "svc")); err == nil {
-		t.Error("Upsert on closed store should error")
+	if _, err := s.ApplyBatch("svc", []Op{{Kind: OpUpsert, Pattern: pat(t, "x %string%", "svc")}}); !errors.Is(err, ErrClosed) {
+		t.Errorf("ApplyBatch on closed store = %v, want ErrClosed", err)
+	}
+	if _, err := s.PurgeIDs(1, t0); !errors.Is(err, ErrClosed) {
+		t.Errorf("PurgeIDs on closed store = %v, want ErrClosed", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double Close should be a no-op, got %v", err)
@@ -352,7 +348,7 @@ func TestConcurrentUpserts(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				p := pat(t, fmt.Sprintf("event %d %%integer%%", i), fmt.Sprintf("svc%d", w))
-				if err := s.Upsert(p); err != nil {
+				if _, err := s.ApplyBatch(p.Service, []Op{{Kind: OpUpsert, Pattern: p}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -386,7 +382,7 @@ func TestPersistenceProperty(t *testing.T) {
 			p := pat(t, fmt.Sprintf("ev%d %%integer%% done", i), "svc")
 			p.Count = int64(c)
 			want[p.ID] = int64(c)
-			if err := s.Upsert(p); err != nil {
+			if _, err := s.ApplyBatch(p.Service, []Op{{Kind: OpUpsert, Pattern: p}}); err != nil {
 				return false
 			}
 		}
@@ -414,14 +410,14 @@ func TestPersistenceProperty(t *testing.T) {
 func BenchmarkUpsert(b *testing.B) {
 	s, _ := Open(b.TempDir())
 	defer s.Close()
-	ps := make([]*patterns.Pattern, 256)
-	for i := range ps {
-		ps[i] = pat(b, fmt.Sprintf("event %d from %%srcip%%", i), "svc")
+	ops := make([][]Op, 256)
+	for i := range ops {
+		ops[i] = []Op{{Kind: OpUpsert, Pattern: pat(b, fmt.Sprintf("event %d from %%srcip%%", i), "svc")}}
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := s.Upsert(ps[i%len(ps)]); err != nil {
+		if _, err := s.ApplyBatch("svc", ops[i%len(ops)]); err != nil {
 			b.Fatal(err)
 		}
 	}

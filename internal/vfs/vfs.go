@@ -13,7 +13,7 @@
 //
 // The store is written against FS, so every persistence change is
 // testable against injected faults and systematic crash schedules by
-// construction (see internal/store/crashtest).
+// construction (see internal/crashtest).
 package vfs
 
 import (
