@@ -16,9 +16,11 @@ import (
 //	pdbtool archive ls DIR               list blocks with header metadata
 //	pdbtool archive dump DIR [filters]   print archived records as JSON lines
 //
-// ls reports corrupt blocks instead of failing on them — like journal
-// dump, it is the operator's view after a crash, and a torn block is a
-// finding, not an error.
+// ls prints one line per block: FILE@OFFSET for a block inside a
+// segment, FILE alone for a block file of the earlier one-block-per-file
+// format. It reports corrupt segments instead of failing on them — like
+// journal dump, it is the operator's view after a crash, and a damaged
+// segment is a finding, not an error.
 func cmdArchive(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: pdbtool archive ls|dump DIR [flags]")
@@ -61,8 +63,12 @@ func cmdArchiveLs(args []string) error {
 		}
 		records += b.Records
 		bytes += b.Bytes
+		where := b.File
+		if !b.Legacy {
+			where = fmt.Sprintf("%s@%d", b.File, b.Offset)
+		}
 		fmt.Printf("%s  service=%s bucket=%s records=%d patterns=%d bytes=%d span=[%s, %s]\n",
-			b.File, b.Service, time.Unix(b.Bucket, 0).UTC().Format(time.RFC3339),
+			where, b.Service, time.Unix(b.Bucket, 0).UTC().Format(time.RFC3339),
 			b.Records, b.Patterns, b.Bytes,
 			archive.FormatTime(b.MinTime), archive.FormatTime(b.MaxTime))
 	}

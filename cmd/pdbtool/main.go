@@ -12,7 +12,7 @@
 //
 // journal dump and archive are the odd ones out — they read
 // Sequence-RTG's own on-disk state (journal files with either encoding,
-// auto-detected per record, and compressed archive block files), for
+// auto-detected per record, and compressed archive segments), for
 // inspecting a database directory after a crash.
 //
 // The paper's review workflow relies on exactly these checks: "these test
@@ -67,7 +67,7 @@ func usage() {
   match   -pdb FILE -program P   classify messages from stdin
   dump    -pdb FILE              list loaded rules
   journal dump FILE...           pretty-print store journal records (v1/v2 auto-detected)
-  archive ls DIR                 list archive blocks (corrupt ones reported, not fatal)
+  archive ls DIR                 list archive blocks (corrupt segments reported, not fatal)
   archive dump DIR [filters]     print archived records as JSON lines
           [-service S] [-pattern ID] [-from T] [-to T] [-limit N]`)
 }

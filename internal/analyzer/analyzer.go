@@ -18,7 +18,10 @@
 package analyzer
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/patterns"
@@ -459,15 +462,30 @@ func sortedChildren(n *node) []*node {
 	for _, c := range n.children {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].key, out[j].key
-		if a.v != b.v {
-			return !a.v
-		}
-		if a.typ != b.typ {
-			return a.typ < b.typ
-		}
-		return a.val < b.val
-	})
+	slices.SortFunc(out, compareChildren)
 	return out
+}
+
+// compareChildren orders trie children literals first, then by token
+// type, value and preceding space. It captures nothing, so sorting
+// allocates nothing.
+func compareChildren(x, y *node) int {
+	a, b := x.key, y.key
+	switch {
+	case a.v != b.v:
+		if !a.v {
+			return -1
+		}
+		return 1
+	case a.typ != b.typ:
+		return cmp.Compare(a.typ, b.typ)
+	case a.val != b.val:
+		return strings.Compare(a.val, b.val)
+	case a.space != b.space:
+		if !a.space {
+			return -1
+		}
+		return 1
+	}
+	return 0
 }

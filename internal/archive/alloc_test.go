@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -91,4 +92,47 @@ func TestQueryDecodeAllocBudget(t *testing.T) {
 	if avg > budget {
 		t.Fatalf("warm query allocates %.1f, budget is %.0f (%d entries)", avg, budget, records)
 	}
+}
+
+// TestArchiveFlushAllocs bounds what sealing costs per block: one round
+// appends a record to each of 16 services in one bucket and flushes, so
+// the round seals 16 blocks into one segment. The block encoder, the
+// segment buffer and the footer scratch are reused across flushes; what
+// remains per block is the block itself, one allocation for its three
+// columns sized from the service's previous block, its dictionary, and
+// its share of the segment's file handle, footer and index entry. One
+// block file per block, the format segments replaced, measured 18.4
+// allocations per sealed block on this loop; segments measure 4.1.
+func TestArchiveFlushAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	a, err := Open("archive", Options{FS: vfs.NewFault(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 16
+	services := make([]string, blocks)
+	for i := range services {
+		services[i] = fmt.Sprintf("svc%03d", i)
+	}
+	ts := time.Date(2026, 3, 1, 10, 0, 0, 0, time.UTC)
+	vars := [][]byte{[]byte("203.0.113.9"), []byte("22")}
+	round := func() {
+		for _, svc := range services {
+			if err := a.Append(svc, "p-conn", ts, vars, 60); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm the encoder and the reusable buffers
+	perBlock := testing.AllocsPerRun(50, round) / blocks
+	const budget = 5
+	if perBlock > budget {
+		t.Fatalf("sealing allocates %.2f per block, budget is %d", perBlock, budget)
+	}
+	t.Logf("%.2f allocations per sealed block", perBlock)
 }

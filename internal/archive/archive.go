@@ -2,19 +2,28 @@
 // engine matches a message against a mined pattern, the message is
 // fully described by (timestamp, pattern ID, variable values), and that
 // triple compresses far better than the raw text. Records accumulate in
-// in-memory blocks per (shard, service, time bucket) and are sealed
-// into write-once, CRC-framed, DEFLATE-compressed columnar block files
-// (see codec.go for the frame layout).
+// in-memory blocks per (shard, service, time bucket). A flush seals
+// them into CRC-framed, DEFLATE-compressed columnar blocks and writes
+// one write-once segment file per time bucket it touches: the bucket's
+// block frames back to back plus a footer that indexes them (see
+// codec.go for the block frame, segment.go for the segment layout).
 //
-// Durability contract: a block becomes durable when it is sealed —
-// which happens when it reaches Options.FlushRecords records, on an
-// explicit Flush, and on Close. A sealed block is written to a
-// temporary name, synced, and then atomically renamed into place;
-// readers ignore temporary files, so a crash mid-flush can lose the
-// unsealed in-memory tail but can never surface a torn block. Every
-// record appended before a completed Flush is queryable after reopen
-// (internal/crashtest proves both properties under systematic
+// Durability contract: a block becomes durable when the segment that
+// holds it is published — when the block reaches Options.FlushRecords
+// records, on an explicit Flush, and on Close. A segment is written to
+// a temporary name, synced once, and then atomically renamed into
+// place; readers ignore temporary files, so a crash mid-flush can lose
+// the unpublished in-memory tail but can never surface a torn segment.
+// Every record appended before a completed Flush is queryable after
+// reopen (internal/crashtest proves both properties under systematic
 // crash schedules).
+//
+// Sealing happens under the shard locks and only moves blocks to a
+// sealed list; encoding and the file I/O run outside every lock, and
+// the finished segment joins the in-memory segment index under one
+// short lock. A Query snapshots the index, the sealed list and the open
+// blocks at one instant, so it sees every record exactly once however
+// it interleaves with a flush.
 //
 // All file I/O goes through the internal/vfs seam, so the fault
 // injection and the crash harness built for the pattern store apply
@@ -22,11 +31,12 @@
 package archive
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,8 +59,8 @@ type Options struct {
 	// FlushRecords seals an in-memory block when it reaches this many
 	// records. Defaults to 8192.
 	FlushRecords int
-	// CacheBlocks bounds the LRU cache of decoded blocks. Defaults
-	// to 64.
+	// CacheBlocks bounds the LRU cache of decoded blocks, and
+	// separately the one of segment footers. Defaults to 64.
 	CacheBlocks int
 	// Shards is the number of append shards (service-hashed). Defaults
 	// to GOMAXPROCS.
@@ -58,10 +68,11 @@ type Options struct {
 	// Metrics receives archive instrumentation. Defaults to a private
 	// obs.Metrics.
 	Metrics *obs.Metrics
-	// Retention, when positive, ages out published block files: every
-	// Flush (and therefore Close) deletes blocks whose bucket ended more
-	// than Retention before now. Retired blocks count into
-	// seqrtg_archive_retired_blocks_total. Zero keeps blocks forever.
+	// Retention, when positive, ages out published segments: every
+	// Flush (and therefore Close) deletes segment files whose bucket
+	// ended more than Retention before now. Each retired file counts
+	// into seqrtg_archive_retired_blocks_total. Zero keeps segments
+	// forever.
 	Retention time.Duration
 	// Now is the clock the retention horizon is measured against;
 	// defaults to time.Now. Tests and the crash harness inject a fixed
@@ -102,6 +113,8 @@ type blockKey struct {
 
 // memBlock is a block being filled. All of its columns grow by
 // amortized append, so the steady-state append path allocates nothing.
+// Bytes inside a column's length are never rewritten, which is what
+// lets a query scan a copy of the block without the shard lock.
 type memBlock struct {
 	service string
 	bucket  int64
@@ -110,29 +123,92 @@ type memBlock struct {
 	maxTS   int64
 	lastTS  int64 // previous record's timestamp, for delta encoding
 	pats    []string
-	patIdx  map[string]uint32
-	ts      []byte // svarint deltas
-	pat     []byte // uvarint dictionary indexes
-	vars    []byte // uncompressed variable column
+	// patIdx indexes pats once the dictionary outgrows a linear scan;
+	// nil until then.
+	patIdx map[string]uint32
+	ts     []byte // svarint deltas
+	pat    []byte // uvarint dictionary indexes
+	vars   []byte // uncompressed variable column
 }
 
-func newMemBlock(service string, bucket int64) *memBlock {
-	return &memBlock{
-		service: service,
-		bucket:  bucket,
-		lastTS:  bucket * int64(1e9),
-		patIdx:  make(map[string]uint32),
+// smallDict is the dictionary size up to which a block finds a pattern
+// by scanning pats instead of through patIdx.
+const smallDict = 8
+
+// blockHint is the size of a service's last sealed block, which sizes
+// the service's next block so that a batch's worth of appends fills it
+// without regrowing a column.
+type blockHint struct {
+	ts, pat, vars, pats int
+}
+
+// maxHints bounds a shard's hint table; past it the table starts over.
+const maxHints = 4096
+
+func newMemBlock(service string, bucket int64, h blockHint) *memBlock {
+	b := &memBlock{service: service, bucket: bucket, lastTS: bucket * int64(1e9)}
+	// One allocation for the three columns, each capped at its own
+	// region (with a quarter's headroom), so one outgrowing its region
+	// moves only itself.
+	ts, pat, vars := h.ts+h.ts/4, h.pat+h.pat/4, h.vars+h.vars/4
+	if n := ts + pat + vars; n > 0 {
+		cols := make([]byte, n)
+		b.ts, b.pat, b.vars = cols[:0:ts], cols[ts:ts:ts+pat], cols[ts+pat:ts+pat]
+	}
+	if h.pats > 0 {
+		b.pats = make([]string, 0, h.pats)
+	}
+	if h.pats > smallDict {
+		b.indexPatterns()
+	}
+	return b
+}
+
+// rawSize is the size of b's columns before compression.
+func (b *memBlock) rawSize() int { return len(b.ts) + len(b.pat) + len(b.vars) }
+
+// hint describes b for sizing its service's next block.
+func (b *memBlock) hint() blockHint {
+	return blockHint{ts: len(b.ts), pat: len(b.pat), vars: len(b.vars), pats: len(b.pats)}
+}
+
+// indexPatterns builds patIdx from pats.
+func (b *memBlock) indexPatterns() {
+	b.patIdx = make(map[string]uint32, 2*max(len(b.pats), smallDict))
+	for i, id := range b.pats {
+		b.patIdx[id] = uint32(i)
 	}
 }
 
+// patternIndex returns patternID's dictionary index, adding it when new.
+//
 //seqrtg:noalloc
-func (b *memBlock) append(patternID string, ns int64, vars [][]byte) {
-	idx, ok := b.patIdx[patternID]
-	if !ok {
-		idx = uint32(len(b.pats))
-		b.pats = append(b.pats, patternID)
+func (b *memBlock) patternIndex(patternID string) uint32 {
+	if b.patIdx != nil {
+		if idx, ok := b.patIdx[patternID]; ok {
+			return idx
+		}
+	} else {
+		for i, id := range b.pats {
+			if id == patternID {
+				return uint32(i)
+			}
+		}
+	}
+	idx := uint32(len(b.pats))
+	b.pats = append(b.pats, patternID)
+	if b.patIdx != nil {
 		b.patIdx[patternID] = idx
 	}
+	return idx
+}
+
+// append adds one record. The caller builds patIdx once the
+// dictionary outgrows smallDict (see Archive.Append).
+//
+//seqrtg:noalloc
+func (b *memBlock) append(patternID string, ns int64, vars [][]byte) {
+	idx := b.patternIndex(patternID)
 	b.ts = binary.AppendVarint(b.ts, ns-b.lastTS)
 	b.lastTS = ns
 	b.pat = binary.AppendUvarint(b.pat, uint64(idx))
@@ -150,29 +226,130 @@ func (b *memBlock) append(patternID string, ns int64, vars [][]byte) {
 	b.count++
 }
 
-// shard serializes appends and flushes for its slice of the service
-// space. Flush buffers (enc) are reused under the lock.
+// shard serializes appends and seals for its slice of the service
+// space.
 type shard struct {
-	mu   sync.Mutex
-	open map[blockKey]*memBlock
-	enc  blockEncoder
-	keys []blockKey // reusable sorted-key scratch for deterministic flushes
+	mu    sync.Mutex
+	open  map[blockKey]*memBlock // guarded by mu
+	hints map[string]blockHint   // guarded by mu; per service, from its last sealed block
+	keys  []blockKey             // guarded by mu; sorted-key scratch for deterministic seals
+}
+
+// segment is the resident index entry of one published segment file (or
+// block file of the earlier format). Its footer is read on demand
+// through the footer cache.
+type segment struct {
+	name   string
+	bucket int64 // bucket start, unix seconds
+	seq    int64
+	legacy bool // a b-*.blk file: one block frame, no footer
+}
+
+// segWriter holds the segment write path's reusable buffers.
+type segWriter struct {
+	parts   []encodePart  // one per encoding worker
+	buf     []byte        // the segment being assembled
+	entries []footerEntry // its footer
+	batch   []*memBlock   // the sealed blocks one publish writes
+	group   []*memBlock   // the blocks of one bucket within batch
+}
+
+// encodePart is one encoding worker's run of consecutive blocks of a
+// segment, encoded into the worker's own buffer.
+type encodePart struct {
+	enc    blockEncoder
+	blocks []*memBlock
+	buf    []byte
+	ends   []int // end offset in buf of each block's frame
+	err    error
+}
+
+func (p *encodePart) encode() {
+	p.buf, p.ends, p.err = p.buf[:0], p.ends[:0], nil
+	for _, b := range p.blocks {
+		if p.buf, p.err = p.enc.appendBlock(p.buf, b); p.err != nil {
+			return
+		}
+		p.ends = append(p.ends, len(p.buf))
+	}
+}
+
+// minBlocksPerWorker is the fewest blocks worth an encoding worker of
+// their own. Compression is nearly all of a flush's CPU time, and the
+// blocks of one segment compress independently.
+const minBlocksPerWorker = 32
+
+// encode compresses group's blocks in up to GOMAXPROCS parallel runs of
+// about equal raw size and returns the runs in block order.
+func (w *segWriter) encode(group []*memBlock) []encodePart {
+	k := max(1, min(runtime.GOMAXPROCS(0), len(group)/minBlocksPerWorker))
+	for len(w.parts) < k {
+		w.parts = append(w.parts, encodePart{})
+	}
+	parts := w.parts[:k]
+	total := 0
+	for _, b := range group {
+		total += b.rawSize()
+	}
+	lo, sum := 0, 0
+	for i := range parts {
+		hi := lo
+		for hi < len(group) && (i == k-1 || sum < total*(i+1)/k) {
+			sum += group[hi].rawSize()
+			hi++
+		}
+		parts[i].blocks = group[lo:hi]
+		lo = hi
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < k; i++ {
+		wg.Add(1)
+		go func(p *encodePart) {
+			defer wg.Done()
+			p.encode()
+		}(&parts[i])
+	}
+	parts[0].encode()
+	wg.Wait()
+	return parts
 }
 
 // Archive is the compressed log store. All methods are safe for
 // concurrent use.
+//
+// Lock order: a shard's mu before the archive's mu. flushMu is never
+// taken while holding either.
 type Archive struct {
 	dir    string
 	opts   Options
 	m      *obs.Metrics
 	shards []shard
 	seq    atomic.Int64
-	cache  *blockCache
+	// blocks and footers are two LRU caches of one kind, each bounded
+	// by Options.CacheBlocks, so footer reads never evict blocks.
+	blocks  *lruCache[blockData]
+	footers *lruCache[segFooter]
+
+	mu sync.Mutex
+	// segs is the segment index in ascending seq, which is publication
+	// order. Appends may extend it in place; every other change copies
+	// it, so a query may read a snapshot of it without the lock.
+	segs []segment // guarded by mu
+	// sealed holds the blocks sealed but not yet published, in seal
+	// order. Seals append; a publish replaces it with a copy.
+	sealed []*memBlock // guarded by mu
+
+	// flushMu serializes publishing and retirement: a publish writes
+	// every sealed block, so a Flush that returns has covered every
+	// block sealed before it, whichever call sealed it.
+	flushMu sync.Mutex
+	w       segWriter // guarded by flushMu
 }
 
-// Open opens (creating if needed) the archive directory. Leftover
-// temporary files from a crashed flush are removed; published blocks
-// are left in place and the sequence counter resumes past them.
+// Open opens (creating if needed) the archive directory and indexes
+// its segments by name. Leftover temporary files from a crashed flush
+// are removed; published segments are left in place, unread, and the
+// sequence counter resumes past them.
 func Open(dir string, opts Options) (*Archive, error) {
 	o := opts.withDefaults()
 	if err := o.FS.MkdirAll(dir); err != nil {
@@ -182,66 +359,38 @@ func Open(dir string, opts Options) (*Archive, error) {
 	if err != nil {
 		return nil, fmt.Errorf("archive: read dir: %w", err)
 	}
-	a := &Archive{
-		dir:    dir,
-		opts:   o,
-		m:      o.Metrics,
-		shards: make([]shard, o.Shards),
-		cache:  newBlockCache(o.CacheBlocks),
-	}
-	for i := range a.shards {
-		a.shards[i].open = make(map[blockKey]*memBlock)
-	}
-	var maxSeq int64
+	var segs []segment
 	for _, name := range names {
 		if strings.HasPrefix(name, "tmp-") {
 			// An unpublished flush from a crashed process: invisible to
 			// readers, safe to discard. Removal is best-effort — a
 			// lingering tmp file is still never served.
 			if err := o.FS.Remove(filepath.Join(dir, name)); err != nil {
-				a.m.ArchiveIOErrors.Inc()
+				o.Metrics.ArchiveIOErrors.Inc()
 			}
 			continue
 		}
-		if _, seq, ok := parseBlockName(name); ok && seq > maxSeq {
-			maxSeq = seq
+		if bucket, seq, legacy, ok := parseSegName(name); ok {
+			segs = append(segs, segment{name: name, bucket: bucket, seq: seq, legacy: legacy})
 		}
 	}
-	a.seq.Store(maxSeq)
+	slices.SortFunc(segs, func(x, y segment) int { return cmp.Compare(x.seq, y.seq) })
+	a := &Archive{
+		dir:     dir,
+		opts:    o,
+		m:       o.Metrics,
+		shards:  make([]shard, o.Shards),
+		blocks:  newLRUCache[blockData](o.CacheBlocks),
+		footers: newLRUCache[segFooter](o.CacheBlocks),
+		segs:    segs,
+	}
+	for i := range a.shards {
+		a.shards[i].open = make(map[blockKey]*memBlock)
+	}
+	if len(segs) > 0 {
+		a.seq.Store(segs[len(segs)-1].seq)
+	}
 	return a, nil
-}
-
-// blockName renders a published block file name. The sequence number is
-// zero-padded so the directory's sorted order is also flush order
-// within a bucket.
-func blockName(bucket, seq int64) string {
-	return fmt.Sprintf("b-%d-%08d.blk", bucket, seq)
-}
-
-// parseBlockName inverts blockName. The bucket may be negative, so the
-// name is split on the last dash.
-func parseBlockName(name string) (bucket, seq int64, ok bool) {
-	s, found := strings.CutPrefix(name, "b-")
-	if !found {
-		return 0, 0, false
-	}
-	s, found = strings.CutSuffix(s, ".blk")
-	if !found {
-		return 0, 0, false
-	}
-	i := strings.LastIndexByte(s, '-')
-	if i <= 0 {
-		return 0, 0, false
-	}
-	bucket, err := strconv.ParseInt(s[:i], 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	seq, err = strconv.ParseInt(s[i+1:], 10, 64)
-	if err != nil || seq < 0 {
-		return 0, 0, false
-	}
-	return bucket, seq, true
 }
 
 //seqrtg:noalloc
@@ -283,7 +432,7 @@ func (a *Archive) bucketFor(ns int64) int64 {
 // msgBytes is the raw message length, credited to the compression-ratio
 // accounting. The record is acknowledged as durable only by a later
 // successful Flush (or Close, or the automatic seal when the block
-// fills).
+// fills, which publishes before Append returns).
 func (a *Archive) Append(service, patternID string, ts time.Time, vars [][]byte, msgBytes int) error {
 	ns := ts.UnixNano()
 	key := blockKey{service: service, bucket: a.bucketFor(ns)}
@@ -291,48 +440,183 @@ func (a *Archive) Append(service, patternID string, ts time.Time, vars [][]byte,
 	sh.mu.Lock()
 	b := sh.open[key]
 	if b == nil {
-		b = newMemBlock(service, key.bucket)
+		b = newMemBlock(service, key.bucket, sh.hints[service])
 		sh.open[key] = b
 	}
 	b.append(patternID, ns, vars)
-	var err error
-	if b.count >= a.opts.FlushRecords {
-		err = a.flushLocked(sh, key, b)
+	if b.patIdx == nil && len(b.pats) > smallDict {
+		b.indexPatterns()
+	}
+	full := b.count >= a.opts.FlushRecords
+	if full {
+		delete(sh.open, key)
+		sh.hint(b)
+		a.mu.Lock()
+		a.sealed = append(a.sealed, b)
+		a.mu.Unlock()
 	}
 	sh.mu.Unlock()
 	a.m.ArchiveRecords.Inc()
 	a.m.ArchiveBytesRaw.Add(int64(msgBytes))
+	if !full {
+		return nil
+	}
+	a.flushMu.Lock()
+	defer a.flushMu.Unlock()
+	return a.publishLocked()
+}
+
+// Flush seals every open in-memory block, publishes every sealed one,
+// then applies the retention horizon. After a Flush returns nil, every
+// record appended before the call is durable and queryable (until
+// retention later ages its segment out).
+func (a *Archive) Flush() error {
+	a.flushMu.Lock()
+	defer a.flushMu.Unlock()
+	for i := range a.shards {
+		a.seal(&a.shards[i])
+	}
+	err := a.publishLocked()
+	if rerr := a.retireLocked(); rerr != nil && err == nil {
+		err = rerr
+	}
 	return err
 }
 
-// flushLocked seals one block: encode, write to a temporary file, sync,
-// then atomically rename into place. Called with the shard lock held.
-// On failure the block stays in memory (and keeps accepting appends);
-// the next flush retries under a fresh sequence number, and the
-// temporary file — which readers never look at — is removed best-effort.
-func (a *Archive) flushLocked(sh *shard, key blockKey, b *memBlock) error {
-	if b.count == 0 {
+// seal moves the shard's open blocks, in (service, bucket) order, to
+// the sealed list.
+func (a *Archive) seal(sh *shard) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if len(sh.open) == 0 {
+		return
+	}
+	sh.keys = sh.keys[:0]
+	for key := range sh.open {
+		sh.keys = append(sh.keys, key)
+	}
+	sortBlockKeys(sh.keys)
+	a.mu.Lock()
+	for _, key := range sh.keys {
+		b := sh.open[key]
+		a.sealed = append(a.sealed, b)
 		delete(sh.open, key)
+		sh.hint(b)
+	}
+	a.mu.Unlock()
+}
+
+// hint records a sealed block's size for its service's next block.
+// Called with the shard lock held.
+func (sh *shard) hint(b *memBlock) {
+	if sh.hints == nil || len(sh.hints) >= maxHints {
+		sh.hints = make(map[string]blockHint)
+	}
+	sh.hints[b.service] = b.hint()
+}
+
+// publishLocked writes every sealed block into segments, one per
+// bucket, and installs each in the index. Called with flushMu held;
+// the shard locks are not held, and the archive lock only to read the
+// sealed list and to install a finished segment. A segment that fails
+// leaves its blocks sealed and queryable, and the next publish retries
+// them under a fresh sequence number.
+func (a *Archive) publishLocked() error {
+	w := &a.w
+	a.mu.Lock()
+	w.batch = append(w.batch[:0], a.sealed...)
+	a.mu.Unlock()
+	if len(w.batch) == 0 {
 		return nil
 	}
-	data, err := sh.enc.encode(b)
-	if err != nil {
-		return err
+	start := time.Now()
+	var first error
+	pending := w.batch
+	for len(pending) > 0 {
+		bucket := pending[0].bucket
+		w.group = w.group[:0]
+		rest := pending[:0]
+		for _, b := range pending {
+			if b.bucket == bucket {
+				w.group = append(w.group, b)
+			} else {
+				rest = append(rest, b)
+			}
+		}
+		pending = rest
+		if err := a.writeSegment(bucket, w.group); err != nil && first == nil {
+			first = err
+		}
 	}
+	clear(w.batch)
+	clear(w.group)
+	a.m.ArchiveFlushDuration.ObserveSince(start)
+	return first
+}
+
+// writeSegment encodes one bucket's sealed blocks into a segment,
+// publishes it with tmp → write → one Sync → rename, and installs it in
+// the index, taking its blocks off the sealed list in the same critical
+// section.
+func (a *Archive) writeSegment(bucket int64, group []*memBlock) error {
+	w := &a.w
+	buf, entries := w.buf[:0], w.entries[:0]
+	for _, p := range w.encode(group) {
+		if p.err != nil {
+			return p.err
+		}
+		base, start := len(buf), 0
+		buf = append(buf, p.buf...)
+		for i, b := range p.blocks {
+			entries = append(entries, footerEntry{
+				service: b.service, count: b.count, minTS: b.minTS, maxTS: b.maxTS,
+				off: int64(base + start), len: int64(p.ends[i] - start),
+			})
+			start = p.ends[i]
+		}
+	}
+	buf = appendFooter(buf, bucket, entries)
+	w.buf, w.entries = buf, entries
 	seq := a.seq.Add(1)
-	tmp := filepath.Join(a.dir, fmt.Sprintf("tmp-%08d.blk", seq))
-	final := filepath.Join(a.dir, blockName(b.bucket, seq))
-	if err := a.writeBlockFile(tmp, final, data); err != nil {
+	name := segName(bucket, seq)
+	tmp := filepath.Join(a.dir, fmt.Sprintf("tmp-%08d.seg", seq))
+	if err := a.writeFile(tmp, filepath.Join(a.dir, name), buf); err != nil {
 		a.m.ArchiveIOErrors.Inc()
-		return fmt.Errorf("archive: flush block: %w", err)
+		return fmt.Errorf("archive: publish segment: %w", err)
 	}
-	delete(sh.open, key)
-	a.m.ArchiveBlocks.Inc()
-	a.m.ArchiveBytesStored.Add(int64(len(data)))
+	a.footers.put(cacheKey{name: name}, &segFooter{bucket: bucket, blocks: slices.Clone(entries)})
+	a.mu.Lock()
+	a.segs = append(a.segs, segment{name: name, bucket: bucket, seq: seq})
+	a.sealed = withoutBlocks(a.sealed, group)
+	a.mu.Unlock()
+	a.m.ArchiveSegments.Inc()
+	a.m.ArchiveBlocks.Add(int64(len(group)))
+	a.m.ArchiveBytesStored.Add(int64(len(buf)))
 	return nil
 }
 
-func (a *Archive) writeBlockFile(tmp, final string, data []byte) error {
+// withoutBlocks returns a copy of sealed without the blocks of group,
+// which is a subsequence of sealed in the same order. The copy leaves
+// the old array to any query that still reads it.
+func withoutBlocks(sealed, group []*memBlock) []*memBlock {
+	if len(sealed) == len(group) {
+		return nil
+	}
+	out := make([]*memBlock, 0, len(sealed)-len(group))
+	j := 0
+	for _, b := range sealed {
+		if j < len(group) && b == group[j] {
+			j++
+			continue
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// writeFile publishes data under final: written to tmp, synced, then
+// renamed into place. On failure tmp is removed best-effort.
+func (a *Archive) writeFile(tmp, final string, data []byte) error {
 	f, err := a.opts.FS.Create(tmp)
 	if err != nil {
 		return err
@@ -358,74 +642,58 @@ func (a *Archive) writeBlockFile(tmp, final string, data []byte) error {
 	return nil
 }
 
-// Flush seals every open in-memory block, then applies the retention
-// horizon. After a Flush returns nil, every record appended before the
-// call is durable and queryable (until retention later ages its block
-// out).
-func (a *Archive) Flush() error {
-	var first error
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		sh.keys = sh.keys[:0]
-		for key := range sh.open {
-			sh.keys = append(sh.keys, key)
-		}
-		sortBlockKeys(sh.keys)
-		for _, key := range sh.keys {
-			if err := a.flushLocked(sh, key, sh.open[key]); err != nil && first == nil {
-				first = err
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if err := a.retire(); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
-// retire deletes published block files older than the retention
-// horizon: a block is retired once its whole bucket — not just its
-// oldest record — lies beyond Retention. Deletion goes through the vfs
-// seam, so the crash harness covers crash-during-retire; a crash here
-// leaves some expired blocks behind, and the next Flush retries them.
-// Retire runs after sealing, never during Open: reopening an archive
-// must not mutate the directory beyond tmp cleanup.
-func (a *Archive) retire() error {
+// retireLocked deletes published segments older than the retention
+// horizon: a segment is retired once its whole bucket — not just its
+// oldest record — lies beyond Retention. Called with flushMu held.
+// Deletion goes through the vfs seam, so the crash harness covers
+// crash-during-retire; a crash here leaves some expired segments
+// behind, and the next Flush retries them. A failed delete keeps the
+// segment indexed, so the next Flush retries it too. Retirement runs
+// after publishing, never during Open: reopening an archive must not
+// mutate the directory beyond tmp cleanup.
+func (a *Archive) retireLocked() error {
 	if a.opts.Retention <= 0 {
 		return nil
 	}
 	horizon := a.opts.Now().Add(-a.opts.Retention)
-	names, err := a.opts.FS.ReadDir(a.dir)
-	if err != nil {
-		a.m.ArchiveIOErrors.Inc()
-		return fmt.Errorf("archive: retention scan: %w", err)
-	}
+	a.mu.Lock()
+	segs := a.segs
+	a.mu.Unlock()
 	var first error
-	for _, name := range names {
-		bucket, _, ok := parseBlockName(name)
-		if !ok {
+	var retired map[int64]bool
+	for _, s := range segs {
+		if time.Unix(s.bucket+a.opts.BucketSeconds, 0).After(horizon) {
 			continue
 		}
-		bucketEnd := time.Unix(bucket+a.opts.BucketSeconds, 0)
-		if bucketEnd.After(horizon) {
-			continue
-		}
-		if err := a.opts.FS.Remove(filepath.Join(a.dir, name)); err != nil {
+		if err := a.opts.FS.Remove(filepath.Join(a.dir, s.name)); err != nil {
 			a.m.ArchiveIOErrors.Inc()
 			if first == nil {
-				first = fmt.Errorf("archive: retire block: %w", err)
+				first = fmt.Errorf("archive: retire segment: %w", err)
 			}
 			continue
 		}
+		if retired == nil {
+			retired = make(map[int64]bool)
+		}
+		retired[s.seq] = true
 		a.m.ArchiveRetiredBlocks.Inc()
+	}
+	if retired != nil {
+		a.mu.Lock()
+		kept := make([]segment, 0, len(a.segs)-len(retired))
+		for _, s := range a.segs {
+			if !retired[s.seq] {
+				kept = append(kept, s)
+			}
+		}
+		a.segs = kept
+		a.mu.Unlock()
 	}
 	return first
 }
 
-// sortBlockKeys orders keys by (service, bucket) so flush order — and
-// with it the crash-schedule step numbering — is deterministic.
+// sortBlockKeys orders keys by (service, bucket) so seal order — and
+// with it the order of blocks in a segment — is deterministic.
 func sortBlockKeys(keys []blockKey) {
 	for i := 1; i < len(keys); i++ {
 		for j := i; j > 0 && blockKeyLess(keys[j], keys[j-1]); j-- {

@@ -21,38 +21,43 @@ func mustAppend(t *testing.T, a *Archive, svc, pat string, ts time.Time, vars ..
 	}
 }
 
-func TestParseBlockName(t *testing.T) {
+func TestParseSegName(t *testing.T) {
 	cases := []struct {
 		name   string
 		bucket int64
 		seq    int64
+		legacy bool
 		ok     bool
 	}{
-		{"b-3600-00000001.blk", 3600, 1, true},
-		{"b-0-00000000.blk", 0, 0, true},
-		{"b--7200-00000042.blk", -7200, 42, true}, // pre-epoch bucket
-		{"b-3600-12345678901.blk", 3600, 12345678901, true},
-		{"tmp-00000001.blk", 0, 0, false},
-		{"b-3600.blk", 0, 0, false},
-		{"b-x-00000001.blk", 0, 0, false},
-		{"b-3600-x.blk", 0, 0, false},
-		{"b-3600-00000001.tmp", 0, 0, false},
-		{"journal-000.wal", 0, 0, false},
-		{"", 0, 0, false},
+		{"s-3600-00000001.seg", 3600, 1, false, true},
+		{"s-0-00000000.seg", 0, 0, false, true},
+		{"s--7200-00000042.seg", -7200, 42, false, true}, // pre-epoch bucket
+		{"s-3600-12345678901.seg", 3600, 12345678901, false, true},
+		{"b-3600-00000001.blk", 3600, 1, true, true}, // the earlier block-file format
+		{"b--7200-00000042.blk", -7200, 42, true, true},
+		{"tmp-00000001.seg", 0, 0, false, false},
+		{"tmp-00000001.blk", 0, 0, false, false},
+		{"s-3600.seg", 0, 0, false, false},
+		{"s-x-00000001.seg", 0, 0, false, false},
+		{"s-3600-x.seg", 0, 0, false, false},
+		{"s-3600-00000001.blk", 0, 0, false, false},
+		{"b-3600-00000001.seg", 0, 0, false, false},
+		{"journal-000.wal", 0, 0, false, false},
+		{"", 0, 0, false, false},
 	}
 	for _, c := range cases {
-		bucket, seq, ok := parseBlockName(c.name)
-		if ok != c.ok || bucket != c.bucket || seq != c.seq {
-			t.Errorf("parseBlockName(%q) = (%d, %d, %v), want (%d, %d, %v)",
-				c.name, bucket, seq, ok, c.bucket, c.seq, c.ok)
+		bucket, seq, legacy, ok := parseSegName(c.name)
+		if ok != c.ok || bucket != c.bucket || seq != c.seq || legacy != c.legacy {
+			t.Errorf("parseSegName(%q) = (%d, %d, %v, %v), want (%d, %d, %v, %v)",
+				c.name, bucket, seq, legacy, ok, c.bucket, c.seq, c.legacy, c.ok)
 		}
 	}
 	// Round trip through the renderer.
 	for _, bucket := range []int64{0, 3600, -7200} {
-		name := blockName(bucket, 7)
-		gb, gs, ok := parseBlockName(name)
-		if !ok || gb != bucket || gs != 7 {
-			t.Errorf("parseBlockName(blockName(%d, 7)) = (%d, %d, %v)", bucket, gb, gs, ok)
+		name := segName(bucket, 7)
+		gb, gs, legacy, ok := parseSegName(name)
+		if !ok || legacy || gb != bucket || gs != 7 {
+			t.Errorf("parseSegName(segName(%d, 7)) = (%d, %d, %v, %v)", bucket, gb, gs, legacy, ok)
 		}
 	}
 }
@@ -70,9 +75,9 @@ func TestBucketFor(t *testing.T) {
 		{1, 0},
 		{3599 * int64(1e9), 0},
 		{3600 * int64(1e9), 3600},
-		{-1, -3600},                  // one nanosecond before the epoch
-		{-3600 * int64(1e9), -3600},  // exactly one bucket before
-		{-3601 * int64(1e9), -7200},  // just past it
+		{-1, -3600},                 // one nanosecond before the epoch
+		{-3600 * int64(1e9), -3600}, // exactly one bucket before
+		{-3601 * int64(1e9), -7200}, // just past it
 		{7201 * int64(1e9), 7200},
 	}
 	for _, c := range cases {
@@ -180,7 +185,7 @@ func TestCacheCounters(t *testing.T) {
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	q1 := Query{From: t0, To: t0.Add(time.Hour)}          // bucket 1 only
+	q1 := Query{From: t0, To: t0.Add(time.Hour)}                        // bucket 1 only
 	q2 := Query{From: t0.Add(2 * time.Hour), To: t0.Add(3 * time.Hour)} // bucket 2 only
 
 	read := func(q Query) {

@@ -9,47 +9,76 @@ import (
 	"io"
 )
 
-// The archive block format. Each sealed block is one file holding one
-// self-delimiting frame, following the journal codec's framing
-// conventions (internal/store/codec):
+// The archive block format. A sealed block is one self-delimiting
+// frame, following the journal codec's framing conventions
+// (internal/store/codec):
 //
 //	0x00                     frame marker
 //	uvarint                  payload length
 //	4 bytes, little-endian   CRC-32C (Castagnoli) of the payload
 //	payload
 //
+// Segments (segment.go) hold block frames back to back; block files of
+// the earlier format hold exactly one.
+//
 // The payload is columnar. Everything a query needs for pruning —
 // service, time bounds, the pattern dictionary — comes before the
 // compressed section, so a block can be rejected without inflating it:
 //
-//	byte     format version (1)
+//	byte     format version (2)
 //	string   service
 //	svarint  bucket start (unix seconds)
 //	uvarint  record count N
 //	svarint  minimum timestamp (unix nanoseconds)
 //	svarint  maximum timestamp (unix nanoseconds)
-//	uvarint  pattern dictionary size D, then D strings (pattern IDs)
-//	uvarint  timestamp column length, then that many bytes:
-//	         N svarint deltas, each from the previous record's
-//	         timestamp (the first from the bucket start, in nanoseconds)
-//	uvarint  pattern column length, then that many bytes:
-//	         N uvarint dictionary indexes
-//	uvarint  raw variable column length
-//	uvarint  compressed variable column length, then that many bytes:
-//	         DEFLATE of the variable column, which is per record a
-//	         uvarint value count followed by that many
-//	         (uvarint length + bytes) values
+//	uvarint  pattern dictionary size D, then D pattern IDs, each a
+//	         uvarint k and then, for k = 0, the 20 bytes a 40-digit
+//	         lowercase hex ID (a SHA-1, patterns.HashID) spells, or for
+//	         k > 0, the k-1 bytes of any other ID
+//	uvarint  timestamp column length
+//	uvarint  pattern column length
+//	uvarint  variable column length
+//	uvarint  compressed length, then that many bytes: DEFLATE of the
+//	         three columns back to back —
+//	         timestamp column: N svarint deltas, each from the previous
+//	           record's timestamp (the first from the bucket start, in
+//	           nanoseconds);
+//	         pattern column: N uvarint dictionary indexes;
+//	         variable column: per record a uvarint value count followed
+//	           by that many (uvarint length + bytes) values
 //
 // with string encoded as uvarint length + raw bytes, exactly as in the
-// journal codec. A decoder failure of any kind — short frame, CRC
-// mismatch, bad varint, an index past the dictionary, trailing bytes —
-// is reported as a *CorruptError, never as a partial decode.
+// journal codec. Version 1, which block files of the earlier format
+// carry, differs in two places: each dictionary ID is a plain string,
+// and the timestamp and pattern columns are stored raw, each after its
+// length, ahead of the raw variable column length and the DEFLATE of
+// the variable column alone. Both versions decode.
+//
+// A decoder failure of any kind — short frame, CRC mismatch, bad
+// varint, an index past the dictionary, trailing bytes — is reported as
+// a *CorruptError, never as a partial decode.
 
 // blockMarker opens every block frame.
 const blockMarker = 0x00
 
-// blockVersion is the current payload format version.
-const blockVersion = 1
+// blockVersion is the payload format version the encoder writes;
+// blockVersion1 is the earlier one, still decoded.
+const (
+	blockVersion  = 2
+	blockVersion1 = 1
+)
+
+// deflateLevel is the compression level of the column section. Every
+// block resets the compressor, and at levels 2 to 9 a reset clears
+// 640 KiB of match tables, which dominates a block of a few hundred
+// bytes: on a 900-byte column section level 3 takes three quarters of
+// the default level's time for 2 % more bytes, and level 1 (no tables)
+// takes 40 % of it for 7 % more.
+const deflateLevel = 3
+
+// hexIDLen is the length of a pattern ID the dictionary stores as raw
+// bytes: a SHA-1 in lowercase hex.
+const hexIDLen = 40
 
 // maxBlockPayload bounds a frame payload (64 MiB), mirroring the
 // journal codec's cap: a corrupt length prefix must not size a
@@ -67,9 +96,10 @@ const maxBlockHeader = 1 + binary.MaxVarintLen64 + 4
 // allocating.
 var zeroBlockHeader [maxBlockHeader]byte
 
-// CorruptError reports a block file that cannot be decoded. Queries
-// skip such files (they are what a crash mid-flush leaves behind, and
-// must never be served); pdbtool surfaces them to the operator.
+// CorruptError reports a segment (or a block in it) that cannot be
+// decoded. Queries serve nothing from such a segment (only external
+// damage produces one, and it must never be served); pdbtool surfaces
+// it to the operator.
 type CorruptError struct {
 	File   string // file name, when known
 	Reason string
@@ -77,55 +107,51 @@ type CorruptError struct {
 
 func (e *CorruptError) Error() string {
 	if e.File == "" {
-		return fmt.Sprintf("archive: corrupt block: %s", e.Reason)
+		return fmt.Sprintf("archive: corrupt segment: %s", e.Reason)
 	}
-	return fmt.Sprintf("archive: corrupt block %s: %s", e.File, e.Reason)
+	return fmt.Sprintf("archive: corrupt segment %s: %s", e.File, e.Reason)
 }
 
 func corrupt(reason string) error { return &CorruptError{Reason: reason} }
 
-// blockData is one decoded (or in-flight) block. Decoded blocks are
-// immutable and shared through the block cache.
+// blockData is one decoded block. Decoded blocks are immutable and
+// shared through the block cache.
 type blockData struct {
-	service string
-	bucket  int64 // bucket start, unix seconds
-	count   int
-	minTS   int64 // unix nanoseconds
-	maxTS   int64
-	pats    []string // pattern dictionary
-
+	blockHeader
 	ts     []int64 // absolute timestamp per record, unix nanoseconds
 	pat    []uint32
 	vars   []byte // inflated variable column
 	varOff []int  // per-record offset into vars (len count+1)
 }
 
-// blockEncoder holds the reusable buffers for sealing blocks. One lives
-// in each shard, used under the shard lock.
+// blockEncoder holds the reusable buffers for sealing blocks. The
+// segment writer owns one and uses it under the archive's flush lock.
 type blockEncoder struct {
-	buf  []byte
 	comp bytes.Buffer
 	fw   *flate.Writer
 }
 
-// encode seals b into a single frame, returning a view of the encoder's
-// buffer that is valid until the next encode call.
-func (e *blockEncoder) encode(b *memBlock) ([]byte, error) {
+// appendBlock appends b's frame to dst and returns the extended slice.
+// On error dst is returned at its original length.
+func (e *blockEncoder) appendBlock(dst []byte, b *memBlock) ([]byte, error) {
 	e.comp.Reset()
 	if e.fw == nil {
 		// flate.NewWriter only errors on an invalid level.
-		e.fw, _ = flate.NewWriter(&e.comp, flate.DefaultCompression)
+		e.fw, _ = flate.NewWriter(&e.comp, deflateLevel)
 	} else {
 		e.fw.Reset(&e.comp)
 	}
-	if _, err := e.fw.Write(b.vars); err != nil {
-		return nil, fmt.Errorf("archive: compress variable column: %w", err)
+	for _, col := range [...][]byte{b.ts, b.pat, b.vars} {
+		if _, err := e.fw.Write(col); err != nil {
+			return dst, fmt.Errorf("archive: compress columns: %w", err)
+		}
 	}
 	if err := e.fw.Close(); err != nil {
-		return nil, fmt.Errorf("archive: compress variable column: %w", err)
+		return dst, fmt.Errorf("archive: compress columns: %w", err)
 	}
 
-	buf := append(e.buf[:0], zeroBlockHeader[:]...)
+	start := len(dst)
+	buf := append(dst, zeroBlockHeader[:]...)
 	buf = append(buf, blockVersion)
 	buf = appendString(buf, b.service)
 	buf = binary.AppendVarint(buf, b.bucket)
@@ -134,33 +160,70 @@ func (e *blockEncoder) encode(b *memBlock) ([]byte, error) {
 	buf = binary.AppendVarint(buf, b.maxTS)
 	buf = binary.AppendUvarint(buf, uint64(len(b.pats)))
 	for _, id := range b.pats {
-		buf = appendString(buf, id)
+		buf = appendPatternID(buf, id)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(b.ts)))
-	buf = append(buf, b.ts...)
 	buf = binary.AppendUvarint(buf, uint64(len(b.pat)))
-	buf = append(buf, b.pat...)
 	buf = binary.AppendUvarint(buf, uint64(len(b.vars)))
 	buf = binary.AppendUvarint(buf, uint64(e.comp.Len()))
 	buf = append(buf, e.comp.Bytes()...)
-
-	payload := buf[maxBlockHeader:]
-	if len(payload) > maxBlockPayload {
-		e.buf = buf[:0]
-		return nil, fmt.Errorf("archive: block payload %d bytes exceeds limit", len(payload))
+	if len(buf)-start-maxBlockHeader > maxBlockPayload {
+		return buf[:start], fmt.Errorf("archive: block payload %d bytes exceeds limit", len(buf)-start-maxBlockHeader)
 	}
+	return closeFrame(buf, start, blockMarker), nil
+}
+
+// appendPatternID appends one dictionary entry: a hex SHA-1 ID as its
+// 20 bytes, any other ID verbatim.
+func appendPatternID(buf []byte, id string) []byte {
+	if !isHexID(id) {
+		buf = binary.AppendUvarint(buf, uint64(len(id))+1)
+		return append(buf, id...)
+	}
+	buf = append(buf, 0)
+	for i := 0; i < hexIDLen; i += 2 {
+		buf = append(buf, unhex(id[i])<<4|unhex(id[i+1]))
+	}
+	return buf
+}
+
+// isHexID reports whether id is 40 lowercase hex digits.
+func isHexID(id string) bool {
+	if len(id) != hexIDLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+func unhex(c byte) byte {
+	if c <= '9' {
+		return c - '0'
+	}
+	return c - 'a' + 10
+}
+
+// closeFrame finishes the frame that starts at buf[start]: its payload
+// was written after maxBlockHeader reserved bytes, which are replaced
+// by the real header (marker, uvarint length, CRC) with the payload
+// shifted down over the unused remainder.
+func closeFrame(buf []byte, start int, marker byte) []byte {
+	payload := buf[start+maxBlockHeader:]
 	var hdr [maxBlockHeader]byte
-	hdr[0] = blockMarker
+	hdr[0] = marker
 	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(payload, castagnoli))
 	n += 4
-	copy(buf, hdr[:n])
+	copy(buf[start:], hdr[:n])
 	if n < maxBlockHeader {
-		copy(buf[n:], payload)
-		buf = buf[:n+len(payload)]
+		copy(buf[start+n:], payload)
+		buf = buf[:start+n+len(payload)]
 	}
-	e.buf = buf
-	return buf, nil
+	return buf
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -248,12 +311,13 @@ func (d *blockDecoder) bytes() []byte {
 	return b
 }
 
-// frame splits data into the checksummed payload of its single frame.
-func frame(data []byte) ([]byte, error) {
+// frameOf splits data, which must be exactly one frame opened by
+// marker, into its checksummed payload.
+func frameOf(data []byte, marker byte) ([]byte, error) {
 	if len(data) == 0 {
 		return nil, corrupt("empty file")
 	}
-	if data[0] != blockMarker {
+	if data[0] != marker {
 		return nil, corrupt("bad frame marker")
 	}
 	plen, n := binary.Uvarint(data[1:])
@@ -284,6 +348,7 @@ func frame(data []byte) ([]byte, error) {
 // blockHeader is the prune-relevant prefix of a block payload: all the
 // metadata a query needs to reject a block without inflating it.
 type blockHeader struct {
+	version byte
 	service string
 	bucket  int64
 	count   int
@@ -293,10 +358,11 @@ type blockHeader struct {
 }
 
 // parseHeader walks the header portion of a payload. On return d is
-// positioned at the timestamp column.
+// positioned just past the pattern dictionary.
 func parseHeader(d *blockDecoder) (blockHeader, error) {
 	var h blockHeader
-	if v := d.byte(); d.err == nil && v != blockVersion {
+	h.version = d.byte()
+	if d.err == nil && h.version != blockVersion && h.version != blockVersion1 {
 		d.fail("unknown block version")
 	}
 	h.service = d.str()
@@ -310,9 +376,13 @@ func parseHeader(d *blockDecoder) (blockHeader, error) {
 		// past the remaining length is garbage and must not size a make().
 		d.fail("pattern count exceeds payload")
 	}
-	if count > uint64(len(d.b)-d.i) {
-		// Every record costs at least one byte in each column.
+	if h.version == blockVersion1 && count > uint64(len(d.b)-d.i) {
+		// Every record costs at least one raw byte in each column.
 		d.fail("record count exceeds payload")
+	}
+	if count > maxBlockPayload {
+		// Every record costs at least one byte in each inflated column.
+		d.fail("record count exceeds limit")
 	}
 	if d.err != nil {
 		return h, d.err
@@ -320,7 +390,7 @@ func parseHeader(d *blockDecoder) (blockHeader, error) {
 	h.count = int(count)
 	h.pats = make([]string, 0, npat)
 	for range npat {
-		s := d.str()
+		s := d.patternID(h.version)
 		if d.err != nil {
 			return h, d.err
 		}
@@ -329,21 +399,52 @@ func parseHeader(d *blockDecoder) (blockHeader, error) {
 	return h, nil
 }
 
+// patternID reads one dictionary entry of the given payload version.
+func (d *blockDecoder) patternID(version byte) string {
+	if version == blockVersion1 {
+		return d.str()
+	}
+	k := d.uvarint()
+	if d.err != nil {
+		return ""
+	}
+	if k > 0 {
+		if k-1 > uint64(len(d.b)-d.i) {
+			d.fail("pattern ID length exceeds payload")
+			return ""
+		}
+		s := string(d.b[d.i : d.i+int(k-1)])
+		d.i += int(k - 1)
+		return s
+	}
+	if hexIDLen/2 > len(d.b)-d.i {
+		d.fail("pattern ID length exceeds payload")
+		return ""
+	}
+	const digits = "0123456789abcdef"
+	var id [hexIDLen]byte
+	for i, c := range d.b[d.i : d.i+hexIDLen/2] {
+		id[2*i], id[2*i+1] = digits[c>>4], digits[c&0x0f]
+	}
+	d.i += hexIDLen / 2
+	return string(id[:])
+}
+
 // decodeHeader verifies the frame checksum and decodes only the header
 // metadata, leaving the compressed section untouched.
 func decodeHeader(data []byte) (blockHeader, error) {
-	payload, err := frame(data)
+	payload, err := frameOf(data, blockMarker)
 	if err != nil {
 		return blockHeader{}, err
 	}
 	return parseHeader(&blockDecoder{b: payload})
 }
 
-// decodeBlock decodes a complete block file. Any failure is a
+// decodeBlock decodes one complete block frame. Any failure is a
 // *CorruptError; the returned block is fully validated — iteration
 // cannot fail afterwards.
 func decodeBlock(data []byte) (*blockData, error) {
-	payload, err := frame(data)
+	payload, err := frameOf(data, blockMarker)
 	if err != nil {
 		return nil, err
 	}
@@ -352,26 +453,42 @@ func decodeBlock(data []byte) (*blockData, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &blockData{
-		service: h.service,
-		bucket:  h.bucket,
-		count:   h.count,
-		minTS:   h.minTS,
-		maxTS:   h.maxTS,
-		pats:    h.pats,
+	b := &blockData{blockHeader: h}
+	var tsCol, patCol []byte
+	if h.version == blockVersion1 {
+		tsCol = d.bytes()
+		patCol = d.bytes()
+		rawLen := d.uvarint()
+		if rawLen > maxBlockPayload {
+			d.fail("variable column length exceeds limit")
+		}
+		comp := d.bytes()
+		if d.err == nil {
+			b.vars, d.err = inflate(comp, int(rawLen))
+		}
+	} else {
+		tsLen, patLen, varLen := d.uvarint(), d.uvarint(), d.uvarint()
+		if tsLen > maxBlockPayload || patLen > maxBlockPayload || varLen > maxBlockPayload || tsLen+patLen+varLen > maxBlockPayload {
+			d.fail("column length exceeds limit")
+		}
+		comp := d.bytes()
+		var raw []byte
+		if d.err == nil {
+			raw, d.err = inflate(comp, int(tsLen+patLen+varLen))
+		}
+		if d.err == nil {
+			tsCol, patCol, b.vars = raw[:tsLen], raw[tsLen:tsLen+patLen], raw[tsLen+patLen:]
+		}
 	}
-	tsCol := d.bytes()
-	patCol := d.bytes()
-	rawLen := d.uvarint()
-	if rawLen > maxBlockPayload {
-		d.fail("variable column length exceeds limit")
-	}
-	comp := d.bytes()
 	if d.err != nil {
 		return nil, d.err
 	}
 	if d.i != len(d.b) {
 		return nil, corrupt("trailing payload bytes")
+	}
+	if b.count > len(tsCol) || b.count > len(patCol) {
+		// Every record costs at least one byte in each column.
+		return nil, corrupt("record count exceeds columns")
 	}
 
 	// Timestamp column: running-sum the deltas.
@@ -407,16 +524,7 @@ func decodeBlock(data []byte) (*blockData, error) {
 		return nil, corrupt("trailing pattern column bytes")
 	}
 
-	// Variable column: inflate, then walk once to validate and index.
-	b.vars = make([]byte, rawLen)
-	fr := flate.NewReader(bytes.NewReader(comp))
-	if _, err := io.ReadFull(fr, b.vars); err != nil {
-		return nil, corrupt("variable column inflate: " + err.Error())
-	}
-	if n, _ := fr.Read(make([]byte, 1)); n != 0 {
-		return nil, corrupt("variable column longer than declared")
-	}
-	fr.Close()
+	// Variable column: walk once to validate and index.
 	b.varOff = make([]int, 0, b.count+1)
 	vd := &blockDecoder{b: b.vars}
 	for i := 0; i < b.count; i++ {
@@ -437,6 +545,20 @@ func decodeBlock(data []byte) (*blockData, error) {
 	}
 	b.varOff = append(b.varOff, vd.i)
 	return b, nil
+}
+
+// inflate decompresses comp, which must inflate to exactly n bytes.
+func inflate(comp []byte, n int) ([]byte, error) {
+	out := make([]byte, n)
+	fr := flate.NewReader(bytes.NewReader(comp))
+	defer fr.Close()
+	if _, err := io.ReadFull(fr, out); err != nil {
+		return nil, corrupt("column inflate: " + err.Error())
+	}
+	if n, _ := fr.Read(make([]byte, 1)); n != 0 {
+		return nil, corrupt("inflated columns longer than declared")
+	}
+	return out, nil
 }
 
 // varsAt appends record i's variable values (views into the block's

@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"path/filepath"
 	"sort"
 	"time"
+
+	"repro/internal/vfs"
 )
 
 // Query selects archived records. Zero fields are wildcards; the time
@@ -83,9 +86,13 @@ func (e *Entry) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// BlockInfo describes one published block file, for operator tooling.
+// BlockInfo describes one published block, for operator tooling. A
+// segment lists one BlockInfo per block it holds; a segment that cannot
+// be decoded is listed once, with Corrupt set.
 type BlockInfo struct {
 	File     string    `json:"file"`
+	Offset   int64     `json:"offset"`           // of the block frame within File
+	Legacy   bool      `json:"legacy,omitempty"` // a b-*.blk file of the earlier format
 	Service  string    `json:"service,omitempty"`
 	Bucket   int64     `json:"bucket"` // bucket start, unix seconds
 	Records  int       `json:"records"`
@@ -125,13 +132,24 @@ func compileQuery(q Query) compiledQuery {
 	return c
 }
 
-// pruneHeader reports whether a block with the given bounds can be
-// skipped without looking at its records.
-func (c *compiledQuery) pruneHeader(service string, minTS, maxTS int64, pats []string) bool {
+// pruneRange reports whether a block of service spanning [minTS, maxTS]
+// can be skipped without reading it.
+func (c *compiledQuery) pruneRange(service string, minTS, maxTS int64) bool {
 	if c.q.Service != "" && service != c.q.Service {
 		return true
 	}
-	if maxTS < c.fromNS || minTS >= c.toNS {
+	return maxTS < c.fromNS || minTS >= c.toNS
+}
+
+// pruneBucket reports whether no record of a bucket can match.
+func (c *compiledQuery) pruneBucket(bucket, width int64) bool {
+	return (bucket+width)*int64(1e9) <= c.fromNS || bucket*int64(1e9) >= c.toNS
+}
+
+// pruneHeader reports whether a block with the given bounds can be
+// skipped without looking at its records.
+func (c *compiledQuery) pruneHeader(service string, minTS, maxTS int64, pats []string) bool {
+	if c.pruneRange(service, minTS, maxTS) {
 		return true
 	}
 	if c.q.PatternID != "" {
@@ -162,44 +180,74 @@ func (c *compiledQuery) matchVars(vals [][]byte) bool {
 
 // Query returns the archived records selected by q, sorted by time
 // (stable across blocks: within one timestamp, block publication order
-// is preserved). Both sealed block files and still-open in-memory
-// blocks are searched, so a query sees every appended record whether or
-// not a flush has happened yet. Corrupt block files — which only an
-// external actor or a mid-crash leftover can produce, since blocks are
-// published by atomic rename — are skipped, never partially served.
+// is preserved). The query reads one snapshot of the archive — the
+// published segments, the blocks sealed but not yet published, and
+// the open in-memory blocks — so it sees every appended record exactly
+// once whether or not a flush is in progress. Of a segment it reads
+// only the footer and the blocks the footer cannot rule out, through
+// the block cache. A segment that fails to decode — which only an
+// external actor can produce, since segments are published by atomic
+// rename — contributes no record.
 func (a *Archive) Query(q Query) ([]Entry, error) {
 	c := compileQuery(q)
-	names, err := a.opts.FS.ReadDir(a.dir)
-	if err != nil {
-		return nil, fmt.Errorf("archive: read dir: %w", err)
-	}
+	segs, sealed, open := a.snapshot(&c)
 	var out []Entry
 	var scratch [][]byte
-	for _, name := range names {
-		bucket, _, ok := parseBlockName(name)
-		if !ok {
+	var blocks []*blockData
+	for _, s := range segs {
+		if c.pruneBucket(s.bucket, a.opts.BucketSeconds) {
 			continue
 		}
-		// Bucket pruning from the file name alone: records of a bucket
-		// are timestamped within [bucket, bucket+width).
-		startNS := bucket * int64(1e9)
-		endNS := (bucket + a.opts.BucketSeconds) * int64(1e9)
-		if endNS <= c.fromNS || startNS >= c.toNS {
-			continue
+		var err error
+		if blocks, err = a.loadSegment(s, &c, blocks[:0]); err != nil {
+			continue // Blocks reports it to the operator
 		}
-		b, err := a.loadBlock(name, &c)
-		if err != nil {
-			// A block that cannot be decoded is treated as absent; ls
-			// (Blocks) reports it to the operator.
-			continue
+		for _, b := range blocks {
+			out, scratch = c.scanBlock(b, out, scratch)
 		}
-		if b == nil {
-			continue // pruned on header metadata before decompression
-		}
-		out, scratch = c.scanBlock(b, out, scratch)
 	}
-	out, _ = a.scanMem(&c, out, scratch)
+	for _, b := range sealed {
+		out, scratch = c.scanMemBlock(b, out, scratch)
+	}
+	for i := range open {
+		out, scratch = c.scanMemBlock(&open[i], out, scratch)
+	}
 	return c.firstByTime(out), nil
+}
+
+// lockAll acquires every shard lock in ascending order.
+func (a *Archive) lockAll() {
+	for i := range a.shards {
+		a.shards[i].mu.Lock()
+	}
+}
+
+// snapshot captures, at one instant, the segment index, the sealed
+// blocks and a copy of each open block the query cannot rule out.
+// Holding every shard lock while the archive lock is taken means no
+// block is between two of the three sets. A copied open block sees only
+// the records appended before the copy: appends extend the columns past
+// the copied lengths and never rewrite bytes inside them.
+func (a *Archive) snapshot(c *compiledQuery) (segs []segment, sealed []*memBlock, open []memBlock) {
+	a.lockAll()
+	a.mu.Lock()
+	segs, sealed = a.segs, a.sealed
+	a.mu.Unlock()
+	for i := range a.shards {
+		sh := &a.shards[i]
+		sh.keys = sh.keys[:0]
+		for key, b := range sh.open {
+			if !c.pruneHeader(b.service, b.minTS, b.maxTS, b.pats) {
+				sh.keys = append(sh.keys, key)
+			}
+		}
+		sortBlockKeys(sh.keys)
+		for _, key := range sh.keys {
+			open = append(open, *sh.open[key])
+		}
+		sh.mu.Unlock()
+	}
+	return segs, sealed, open
 }
 
 // firstByTime sorts out by time, keeping the scan order within one
@@ -228,35 +276,129 @@ func (c *compiledQuery) keep(out []Entry, ns int64, service, patternID string, v
 	return out
 }
 
-// loadBlock returns the decoded block for name, from the cache when
-// possible. It returns (nil, nil) when the block's header metadata
-// proves no record can match — in that case the compressed section is
-// never inflated.
-func (a *Archive) loadBlock(name string, c *compiledQuery) (*blockData, error) {
-	if b, ok := a.cache.get(name); ok {
-		a.m.ArchiveCacheHits.Inc()
+// loadSegment appends to dst the blocks of segment s that the query
+// cannot rule out from the footer or the block header. The footer and
+// the blocks come from the caches when present; the file is opened only
+// on a miss, and only the footer and the missing blocks' byte ranges
+// are read. Any failure fails the whole segment, so a query never
+// serves part of a segment it found damaged.
+func (a *Archive) loadSegment(s segment, c *compiledQuery, dst []*blockData) ([]*blockData, error) {
+	r := segReader{a: a, seg: s}
+	defer r.close()
+	f, err := r.footer()
+	if err != nil {
+		return nil, err
+	}
+	for i := range f.blocks {
+		e := &f.blocks[i]
+		if c.pruneRange(e.service, e.minTS, e.maxTS) {
+			continue
+		}
+		b, err := r.block(f.bucket, e, c)
+		if err != nil {
+			return nil, err
+		}
+		if b != nil {
+			dst = append(dst, b)
+		}
+	}
+	return dst, nil
+}
+
+// segReader reads one segment's footer and blocks, opening the file on
+// first use.
+type segReader struct {
+	a   *Archive
+	seg segment
+	f   vfs.File
+}
+
+func (r *segReader) file() (vfs.File, error) {
+	if r.f == nil {
+		f, err := r.a.opts.FS.Open(filepath.Join(r.a.dir, r.seg.name))
+		if err != nil {
+			return nil, err
+		}
+		r.f = f
+	}
+	return r.f, nil
+}
+
+func (r *segReader) close() {
+	if r.f != nil {
+		r.f.Close()
+	}
+}
+
+// footer returns the segment's footer. A block file of the earlier
+// format is indexed from its block header.
+func (r *segReader) footer() (*segFooter, error) {
+	key := cacheKey{name: r.seg.name}
+	if ft, ok := r.a.footers.get(key); ok {
+		return ft, nil
+	}
+	f, err := r.file()
+	if err != nil {
+		return nil, err
+	}
+	var ft *segFooter
+	if r.seg.legacy {
+		size, err := f.Seek(0, io.SeekEnd)
+		if err != nil {
+			return nil, err
+		}
+		data := make([]byte, size)
+		if err := readAt(f, data, 0); err != nil {
+			return nil, err
+		}
+		h, err := decodeHeader(data)
+		if err != nil {
+			return nil, err
+		}
+		ft = legacyFooter(h, size)
+	} else if ft, err = readFooter(f); err != nil {
+		return nil, err
+	}
+	r.a.footers.put(key, ft)
+	return ft, nil
+}
+
+// block returns the decoded block e indexes, or (nil, nil) when its
+// header proves no record can match — in that case the compressed
+// section is never inflated.
+func (r *segReader) block(bucket int64, e *footerEntry, c *compiledQuery) (*blockData, error) {
+	key := cacheKey{name: r.seg.name, off: e.off}
+	if b, ok := r.a.blocks.get(key); ok {
+		r.a.m.ArchiveCacheHits.Inc()
 		if c.pruneHeader(b.service, b.minTS, b.maxTS, b.pats) {
 			return nil, nil
 		}
 		return b, nil
 	}
-	data, err := a.opts.FS.ReadFile(filepath.Join(a.dir, name))
+	f, err := r.file()
 	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, e.len)
+	if err := readAt(f, data, e.off); err != nil {
 		return nil, err
 	}
 	hdr, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
+	if err := e.check(bucket, hdr); err != nil {
+		return nil, err
+	}
 	if c.pruneHeader(hdr.service, hdr.minTS, hdr.maxTS, hdr.pats) {
 		return nil, nil
 	}
-	a.m.ArchiveCacheMisses.Inc()
+	r.a.m.ArchiveCacheMisses.Inc()
 	b, err := decodeBlock(data)
 	if err != nil {
 		return nil, err
 	}
-	a.cache.put(name, b)
+	r.a.blocks.put(key, b)
 	return b, nil
 }
 
@@ -291,25 +433,8 @@ func (c *compiledQuery) scanBlock(b *blockData, out []Entry, scratch [][]byte) (
 	return out, scratch
 }
 
-// scanMem appends matching records from the still-open in-memory
-// blocks, walking each shard under its lock.
-func (a *Archive) scanMem(c *compiledQuery, out []Entry, scratch [][]byte) ([]Entry, [][]byte) {
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		sh.keys = sh.keys[:0]
-		for key := range sh.open {
-			sh.keys = append(sh.keys, key)
-		}
-		sortBlockKeys(sh.keys)
-		for _, key := range sh.keys {
-			out, scratch = c.scanMemBlock(sh.open[key], out, scratch)
-		}
-		sh.mu.Unlock()
-	}
-	return out, scratch
-}
-
+// scanMemBlock appends the matching records of an open or sealed
+// in-memory block to out.
 func (c *compiledQuery) scanMemBlock(b *memBlock, out []Entry, scratch [][]byte) ([]Entry, [][]byte) {
 	if c.pruneHeader(b.service, b.minTS, b.maxTS, b.pats) || b.count == 0 {
 		return out, scratch
@@ -358,41 +483,42 @@ func makeEntry(ns int64, service, patternID string, vals [][]byte) Entry {
 	return e
 }
 
-// Blocks lists every published block file with its header metadata, in
-// directory order. A file that cannot be decoded is reported with its
-// corruption reason rather than hidden — the operator's view after a
-// crash or external damage.
+// Blocks lists every block of every published segment with its
+// header metadata, in publication order. Each segment is decoded whole;
+// one that cannot be is reported once, with its corruption reason,
+// rather than hidden — the operator's view after a crash or external
+// damage.
 func (a *Archive) Blocks() ([]BlockInfo, error) {
-	names, err := a.opts.FS.ReadDir(a.dir)
-	if err != nil {
-		return nil, fmt.Errorf("archive: read dir: %w", err)
-	}
+	a.mu.Lock()
+	segs := a.segs
+	a.mu.Unlock()
 	var out []BlockInfo
-	for _, name := range names {
-		bucket, _, ok := parseBlockName(name)
-		if !ok {
-			continue
-		}
-		info := BlockInfo{File: name, Bucket: bucket}
-		data, err := a.opts.FS.ReadFile(filepath.Join(a.dir, name))
+	for _, s := range segs {
+		info := BlockInfo{File: s.name, Bucket: s.bucket, Legacy: s.legacy}
+		data, err := a.opts.FS.ReadFile(filepath.Join(a.dir, s.name))
 		if err != nil {
 			info.Corrupt = err.Error()
 			out = append(out, info)
 			continue
 		}
-		info.Bytes = len(data)
-		hdr, err := decodeHeader(data)
+		f, blocks, err := decodeSegment(data, s.legacy)
 		if err != nil {
+			info.Bytes = len(data)
 			info.Corrupt = err.Error()
 			out = append(out, info)
 			continue
 		}
-		info.Service = hdr.service
-		info.Records = hdr.count
-		info.Patterns = len(hdr.pats)
-		info.MinTime = time.Unix(0, hdr.minTS).UTC()
-		info.MaxTime = time.Unix(0, hdr.maxTS).UTC()
-		out = append(out, info)
+		for i, b := range blocks {
+			e := f.blocks[i]
+			info.Offset = e.off
+			info.Bytes = int(e.len)
+			info.Service = b.service
+			info.Records = b.count
+			info.Patterns = len(b.pats)
+			info.MinTime = time.Unix(0, b.minTS).UTC()
+			info.MaxTime = time.Unix(0, b.maxTS).UTC()
+			out = append(out, info)
+		}
 	}
 	return out, nil
 }

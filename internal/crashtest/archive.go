@@ -1,12 +1,12 @@
 package crashtest
 
 // The archive subjects drive a scripted append workload whose only
-// mutating disk operations are block flushes (and, under retention,
-// block retirements). The invariants:
+// mutating disk operations are segment publishes (and, under
+// retention, segment retirements). The invariants:
 //
-//   - no torn block: a reopened archive never serves a partially
-//     flushed block — every published block file decodes, Blocks()
-//     reports no corruption, and Query neither errors nor panics;
+//   - no torn segment: every published segment and its footer decode
+//     — Blocks() decodes each segment whole and reports no corruption,
+//     and Query neither errors nor panics;
 //   - no lost acknowledged record: every record appended before the
 //     last completed Flush (or Close) is queryable after reopen;
 //   - no phantom, no duplicate, no mutation: every served record was
@@ -14,12 +14,16 @@ package crashtest
 //     carries as its variable appears at most once, with the service,
 //     pattern ID and timestamp the append gave it;
 //   - a complete run serves no dropped record: the tails abandoned
-//     without a barrier were never sealed.
+//     without a barrier were never sealed;
+//   - the live view is whole: after every flush, failed or not, the
+//     running archive serves every record appended since it was opened
+//     exactly once — a publish that failed left its blocks sealed and
+//     queryable, and the next flush writes them.
 //
 // archive/retention reruns the workload with an ageing horizon armed, so
-// the schedule also lands on every side of each block deletion the
+// the schedule also lands on every side of each segment deletion the
 // retire pass performs. The invariants weaken in exactly one place: an
-// acknowledged record in a retireable bucket may be absent (its block
+// acknowledged record in a retireable bucket may be absent (its segment
 // was retired, or the crash cut mid-retire and the next flush will
 // retry); records past the horizon may never survive a complete run.
 
@@ -102,7 +106,7 @@ type rec struct {
 
 // archiveOp is one step of the archive script.
 type archiveOp struct {
-	kind string // append | flush | abandon | reopen
+	kind string // append | flush | flushfail | abandon | reopen
 	// svc and pattern identify the appended record; minute offsets its
 	// timestamp from baseTime (one bucket is 60 s wide, so consecutive
 	// minutes land in different buckets).
@@ -110,28 +114,36 @@ type archiveOp struct {
 	minute       int
 }
 
-// archiveScript returns the archive workload: rounds of appends spread
-// over several services, buckets and patterns — enough per (service,
-// bucket) to trip the automatic seal — with explicit flush barriers, one
-// process kill (abandon) and one clean close-and-reopen per round.
+// archiveScript returns the archive workload: rounds of appends over
+// four services and two buckets, with explicit flush barriers, one
+// process kill (abandon) or clean close-and-reopen per round, and in
+// two rounds a flush whose first segment sync fails. Every flush seals
+// blocks of both buckets, so it publishes two segments, one of them
+// holding three blocks; svc-a's sixth append to its block crosses
+// FlushRecords, so an automatic seal publishes a one-block segment
+// mid-round.
 func archiveScript() []archiveOp {
+	app := func(svc, pattern string, minute int) archiveOp {
+		return archiveOp{kind: "append", svc: svc, pattern: pattern, minute: minute}
+	}
 	var ops []archiveOp
-	for r := 0; r < 6; r++ {
-		a := fmt.Sprintf("svc-%d-a", r)
-		b := fmt.Sprintf("svc-%d-b", r)
-		for i := 0; i < 7; i++ {
-			// a's records straddle two buckets; the 7th append to the
-			// first bucket would cross FlushRecords if they shared one.
-			ops = append(ops, archiveOp{kind: "append", svc: a, pattern: "p-req", minute: 2 * r})
+	for r := 0; r < 8; r++ {
+		for i := 0; i < 6; i++ {
+			ops = append(ops, app("svc-a", "p-req", 2*r))
 			if i%2 == 0 {
-				ops = append(ops, archiveOp{kind: "append", svc: a, pattern: "p-conn", minute: 2*r + 1})
+				ops = append(ops, app("svc-b", "p-conn", 2*r), app("svc-c", "p-blk", 2*r))
 			}
-			ops = append(ops, archiveOp{kind: "append", svc: b, pattern: "p-blk", minute: 2 * r})
+			if i%3 == 0 {
+				ops = append(ops, app("svc-d", "p-req", 2*r+1))
+			}
+		}
+		if r%4 == 1 {
+			ops = append(ops, archiveOp{kind: "flushfail"})
 		}
 		ops = append(ops,
 			archiveOp{kind: "flush"},
-			archiveOp{kind: "append", svc: a, pattern: "p-req", minute: 2*r + 1},
-			archiveOp{kind: "append", svc: b, pattern: "p-blk", minute: 2*r + 1},
+			app("svc-a", "p-req", 2*r+1),
+			app("svc-b", "p-blk", 2*r+1),
 		)
 		if r%2 == 0 {
 			ops = append(ops, archiveOp{kind: "abandon"})
@@ -225,6 +237,23 @@ func (r *archiveRun) Exec(f *vfs.Fault) (bool, error) {
 				return false, nil
 			}
 			r.setState(statePending, stateAcked)
+			if err := r.live(); err != nil {
+				return false, err
+			}
+		case "flushfail":
+			// A sync that fails without a crash: the flush reports it and
+			// acknowledges nothing; the process goes on.
+			f.FailNextSync()
+			err := r.a.Flush()
+			if f.Crashed() {
+				return false, nil
+			}
+			if err == nil {
+				return false, fmt.Errorf("flush succeeded over a failed sync")
+			}
+			if err := r.live(); err != nil {
+				return false, err
+			}
 		case "abandon":
 			// A process kill: drop the archive without closing it and
 			// reopen over the same files. The unsealed tail is lost — its
@@ -251,6 +280,46 @@ func (r *archiveRun) Exec(f *vfs.Fault) (bool, error) {
 	r.setState(statePending, stateAcked)
 	return true, nil
 }
+
+// live checks the running archive's view: every record it holds —
+// appended since the last open, or published before it — is served
+// exactly once, faithful to its append.
+func (r *archiveRun) live() error {
+	got, err := served(r.a)
+	if err != nil {
+		return fmt.Errorf("live view: %w", err)
+	}
+	if err := r.faithful(got); err != nil {
+		return fmt.Errorf("live view: %w", err)
+	}
+	for _, want := range r.appended {
+		_, ok := got[want.seq]
+		if !ok && want.state != stateDropped && !r.expired(want) {
+			return fmt.Errorf("live view: lost record %d (%d of %d appended served)", want.seq, len(got), len(r.appended))
+		}
+	}
+	return nil
+}
+
+// faithful checks that every served record was appended, with the
+// service, pattern and timestamp the append gave it.
+func (r *archiveRun) faithful(got map[int]archive.Entry) error {
+	for seq, e := range got {
+		if seq < 0 || seq >= len(r.appended) {
+			return fmt.Errorf("phantom record %d: never appended", seq)
+		}
+		want := r.appended[seq]
+		if e.Service != want.service || e.PatternID != want.pattern || !e.Time.Equal(want.ts) {
+			return fmt.Errorf("record %d mutated: got (%s, %s, %s), appended (%s, %s, %s)",
+				seq, e.Service, e.PatternID, e.Time, want.service, want.pattern, want.ts)
+		}
+	}
+	return nil
+}
+
+// expired reports whether the retention horizon may have aged out the
+// record's segment.
+func (r *archiveRun) expired(rec rec) bool { return r.retiredOK != nil && r.retiredOK(rec) }
 
 // served queries everything a reopened archive holds and returns it
 // keyed by the sequence number each record carries as its variable.
@@ -293,25 +362,18 @@ func (r *archiveRun) Check(img *vfs.Fault, shards int, complete bool) error {
 	}
 	for _, b := range blocks {
 		if b.Corrupt != "" {
-			return fmt.Errorf("served a torn block %s: %s", b.File, b.Corrupt)
+			return fmt.Errorf("published a torn segment %s: %s", b.File, b.Corrupt)
 		}
 	}
 	got, err := served(a)
 	if err != nil {
 		return err
 	}
-	for seq, e := range got {
-		if seq < 0 || seq >= len(r.appended) {
-			return fmt.Errorf("phantom record %d: never appended", seq)
-		}
-		want := r.appended[seq]
-		if e.Service != want.service || e.PatternID != want.pattern || !e.Time.Equal(want.ts) {
-			return fmt.Errorf("record %d mutated: got (%s, %s, %s), appended (%s, %s, %s)",
-				seq, e.Service, e.PatternID, e.Time, want.service, want.pattern, want.ts)
-		}
+	if err := r.faithful(got); err != nil {
+		return err
 	}
 	for _, want := range r.appended {
-		expired := r.retiredOK != nil && r.retiredOK(want)
+		expired := r.expired(want)
 		_, ok := got[want.seq]
 		switch {
 		case !ok && want.state == stateAcked && !expired:

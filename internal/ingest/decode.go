@@ -10,11 +10,11 @@ import (
 // every other line goes through encoding/json exactly as before, so what
 // is accepted, rejected or rewritten is the standard library's decision
 // by construction. fast reports which of the two decoded the line.
-func decodeLine(lineNo int64, line []byte, defaultService string, services serviceTable) (_ Record, fast bool, _ *BadRecordError) {
+func decodeLine(lineNo int64, line []byte, defaultService string, services ServiceTable) (_ Record, fast bool, _ *BadRecordError) {
 	if service, message, ok := decodePlain(line); ok {
 		rec := Record{Service: defaultService, Message: string(message)}
 		if len(service) > 0 {
-			rec.Service = services.intern(service)
+			rec.Service = services.Intern(service)
 		}
 		return rec, true, nil
 	}
@@ -126,15 +126,17 @@ func plainString(b []byte, i int) (val []byte, next int, ok bool) {
 	return nil, 0, false
 }
 
-// maxServices bounds a serviceTable. A stream names a few hundred source
+// maxServices bounds a ServiceTable. A stream names a few hundred source
 // systems; a corrupt or hostile one must not grow the table without end.
 const maxServices = 4096
 
-// serviceTable interns service names so that a batch holds one string per
-// service, not one per record. A nil table interns nothing.
-type serviceTable map[string]string
+// ServiceTable interns service names so that a batch holds one string per
+// service, not one per record. A nil table interns nothing. A table is
+// not safe for concurrent use: each reader goroutine keeps its own.
+type ServiceTable map[string]string
 
-func (t serviceTable) intern(name []byte) string {
+// Intern returns name as a string, the table's copy when it has one.
+func (t ServiceTable) Intern(name []byte) string {
 	if s, ok := t[string(name)]; ok {
 		return s
 	}

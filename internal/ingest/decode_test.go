@@ -29,7 +29,7 @@ func referenceDecode(line []byte, defaultService string) (Record, bool) {
 func assertDecodeParity(t *testing.T, line []byte, defaultService string) {
 	t.Helper()
 	want, ok := referenceDecode(line, defaultService)
-	for _, services := range []serviceTable{nil, {}} {
+	for _, services := range []ServiceTable{nil, {}} {
 		got, _, bad := decodeLine(1, line, defaultService, services)
 		switch {
 		case bad != nil && !errors.Is(bad, ErrBadRecord):
@@ -119,7 +119,7 @@ func TestDecodeAllocs(t *testing.T) {
 	for i := range lines {
 		lines[i] = []byte(fmt.Sprintf(`{"service":"svc%03d","message":"connection %d closed by 10.0.0.%d"}`, i%8, i, i))
 	}
-	services := serviceTable{}
+	services := ServiceTable{}
 	decodeAll := func() {
 		for _, l := range lines {
 			if _, fast, bad := decodeLine(1, l, "unknown", services); bad != nil || !fast {
@@ -134,10 +134,10 @@ func TestDecodeAllocs(t *testing.T) {
 }
 
 func TestServiceTableIsBounded(t *testing.T) {
-	services := serviceTable{}
+	services := ServiceTable{}
 	for i := 0; i < 3*maxServices; i++ {
 		name := fmt.Sprintf("svc%d", i)
-		if got := services.intern([]byte(name)); got != name {
+		if got := services.Intern([]byte(name)); got != name {
 			t.Fatalf("intern(%q) = %q", name, got)
 		}
 		if len(services) > maxServices {

@@ -82,7 +82,7 @@ type Reader struct {
 	malformed int64
 	oversize  int64
 	lastBad   *BadRecordError
-	services  serviceTable
+	services  ServiceTable
 	m         *obs.Metrics
 }
 
@@ -101,7 +101,7 @@ func NewReader(r io.Reader, opts Options) *Reader {
 	if m == nil {
 		m = obs.New()
 	}
-	return &Reader{opts: opts, lr: newLineReader(r, opts.MaxLineBytes), services: serviceTable{}, m: m}
+	return &Reader{opts: opts, lr: newLineReader(r, opts.MaxLineBytes), services: ServiceTable{}, m: m}
 }
 
 // NextBatch returns the next batch of records. The final batch may be

@@ -90,6 +90,8 @@ const (
 	MetricArchiveIOErrors    = "seqrtg_archive_io_errors_total"
 
 	MetricArchiveRetiredBlocks = "seqrtg_archive_retired_blocks_total"
+	MetricArchiveSegments      = "seqrtg_archive_segments_total"
+	MetricArchiveFlushDuration = "seqrtg_archive_flush_seconds"
 
 	MetricMaskMatches       = "seqrtg_mask_matches_total"
 	MetricMaskBytesRedacted = "seqrtg_mask_bytes_redacted_total"
@@ -403,16 +405,23 @@ type Metrics struct {
 	StoreBatchBytes         Counter    // journal bytes written by ApplyBatch group commits
 
 	// Archive: the pattern-aware compressed log archive.
-	ArchiveBlocks      Counter // block files sealed and published
+	ArchiveBlocks      Counter // blocks sealed and published
 	ArchiveRecords     Counter // matched messages appended to the archive
 	ArchiveBytesRaw    Counter // raw message bytes represented by archived records
-	ArchiveBytesStored Counter // bytes written to sealed block files
+	ArchiveBytesStored Counter // bytes written to published segment files
 	ArchiveCacheHits   Counter // block reads served from the LRU block cache
-	ArchiveCacheMisses Counter // block reads that had to load and decode a file
+	ArchiveCacheMisses Counter // block reads that had to load and decode a block
 	ArchiveIOErrors    Counter // failed archive disk operations (flush write/sync/rename)
 
-	// ArchiveRetiredBlocks counts block files deleted by retention.
+	// ArchiveRetiredBlocks counts segment files (and block files of the
+	// earlier format) deleted by retention.
 	ArchiveRetiredBlocks Counter
+	// ArchiveSegments counts segment files published: one per bucket a
+	// flush touches.
+	ArchiveSegments Counter
+	// ArchiveFlushDuration is the wall time of each publish: encoding,
+	// writing, syncing and renaming one flush's segments.
+	ArchiveFlushDuration *Histogram
 
 	// Mask: the PII masking stage of the ingest path.
 	MaskMatches       Counter // spans rewritten by a detector or rule
@@ -430,6 +439,7 @@ func New() *Metrics {
 		EngineBatchDuration:     NewHistogram(),
 		StoreCompactionDuration: NewHistogram(),
 		ServerIngestLatency:     NewHistogram(),
+		ArchiveFlushDuration:    NewHistogram(),
 	}
 	m.ServerAccepted.EnsureLen(numListeners)
 	m.ServerParseErrors.EnsureLen(numListeners)
@@ -496,7 +506,9 @@ type Snapshot struct {
 	ArchiveCacheMisses int64 `json:"archive_cache_misses"`
 	ArchiveIOErrors    int64 `json:"archive_io_errors"`
 
-	ArchiveRetiredBlocks int64 `json:"archive_retired_blocks"`
+	ArchiveRetiredBlocks int64             `json:"archive_retired_blocks"`
+	ArchiveSegments      int64             `json:"archive_segments"`
+	ArchiveFlushDuration HistogramSnapshot `json:"archive_flush_seconds"`
 
 	MaskMatches       int64 `json:"mask_matches"`
 	MaskBytesRedacted int64 `json:"mask_bytes_redacted"`
@@ -589,6 +601,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		ArchiveIOErrors:    m.ArchiveIOErrors.Value(),
 
 		ArchiveRetiredBlocks: m.ArchiveRetiredBlocks.Value(),
+		ArchiveSegments:      m.ArchiveSegments.Value(),
+		ArchiveFlushDuration: m.ArchiveFlushDuration.snapshot(),
 
 		MaskMatches:       m.MaskMatches.Value(),
 		MaskBytesRedacted: m.MaskBytesRedacted.Value(),
@@ -680,14 +694,16 @@ func (m *Metrics) descs() []metricDesc {
 		{name: MetricStoreBatchCoalesced, help: "Touch operations folded into an already-pending record of the same pattern by batch coalescing.", kind: "counter", c: &m.StoreBatchCoalesced},
 		{name: MetricStoreBatchBytes, help: "Journal bytes written by ApplyBatch group commits.", kind: "counter", c: &m.StoreBatchBytes},
 
-		{name: MetricArchiveBlocks, help: "Archive block files sealed and published.", kind: "counter", c: &m.ArchiveBlocks},
+		{name: MetricArchiveBlocks, help: "Archive blocks sealed and published.", kind: "counter", c: &m.ArchiveBlocks},
 		{name: MetricArchiveRecords, help: "Matched messages appended to the archive.", kind: "counter", c: &m.ArchiveRecords},
 		{name: MetricArchiveBytesRaw, help: "Raw message bytes represented by archived records.", kind: "counter", c: &m.ArchiveBytesRaw},
-		{name: MetricArchiveBytesStored, help: "Bytes written to sealed archive block files.", kind: "counter", c: &m.ArchiveBytesStored},
+		{name: MetricArchiveBytesStored, help: "Bytes written to published archive segment files.", kind: "counter", c: &m.ArchiveBytesStored},
 		{name: MetricArchiveCacheHits, help: "Archive block reads served from the LRU block cache.", kind: "counter", c: &m.ArchiveCacheHits},
-		{name: MetricArchiveCacheMisses, help: "Archive block reads that had to load and decode a block file.", kind: "counter", c: &m.ArchiveCacheMisses},
+		{name: MetricArchiveCacheMisses, help: "Archive block reads that had to load and decode a block.", kind: "counter", c: &m.ArchiveCacheMisses},
 		{name: MetricArchiveIOErrors, help: "Failed archive disk operations (flush write/sync/rename).", kind: "counter", c: &m.ArchiveIOErrors},
-		{name: MetricArchiveRetiredBlocks, help: "Archive block files deleted by the retention horizon.", kind: "counter", c: &m.ArchiveRetiredBlocks},
+		{name: MetricArchiveRetiredBlocks, help: "Archive segment files deleted by the retention horizon.", kind: "counter", c: &m.ArchiveRetiredBlocks},
+		{name: MetricArchiveSegments, help: "Archive segment files published, one per time bucket a flush touches.", kind: "counter", c: &m.ArchiveSegments},
+		{name: MetricArchiveFlushDuration, help: "Seconds to encode, write, sync and rename one archive flush's segments.", kind: "histogram", h: m.ArchiveFlushDuration},
 
 		{name: MetricMaskMatches, help: "Sensitive spans rewritten by a masking detector or rule.", kind: "counter", c: &m.MaskMatches},
 		{name: MetricMaskBytesRedacted, help: "Raw input bytes hidden by the masking stage.", kind: "counter", c: &m.MaskBytesRedacted},

@@ -377,10 +377,11 @@ func (s *Server) maskRecord(rec *ingest.Record) {
 }
 
 // ingestSyslog parses one datagram/frame, masks it, and pushes it,
-// maintaining the per-listener counters. It reports whether the record
-// was accepted.
-func (s *Server) ingestSyslog(listener int, data []byte) bool {
-	rec, err := ParseSyslog(data, s.opts.DefaultService)
+// maintaining the per-listener counters. names is the calling
+// goroutine's service-name table. It reports whether the record was
+// accepted.
+func (s *Server) ingestSyslog(listener int, data []byte, names ingest.ServiceTable) bool {
+	rec, err := parseSyslog(data, s.opts.DefaultService, names)
 	if err != nil {
 		s.m.ServerParseErrors.Inc(listener)
 		return false
@@ -398,6 +399,7 @@ func (s *Server) ingestSyslog(listener int, data []byte) bool {
 func (s *Server) serveUDP() {
 	defer s.lwg.Done()
 	buf := make([]byte, 64*1024) // max UDP payload
+	names := ingest.ServiceTable{}
 	var consecutive int
 	for {
 		n, _, err := s.udp.ReadFrom(buf)
@@ -417,7 +419,7 @@ func (s *Server) serveUDP() {
 		if n == 0 {
 			continue
 		}
-		s.ingestSyslog(obs.ListenerUDP, buf[:n])
+		s.ingestSyslog(obs.ListenerUDP, buf[:n], names)
 	}
 }
 
@@ -474,6 +476,7 @@ func (s *Server) serveTCPConn(c net.Conn) {
 	defer s.untrackConn(c)
 	defer c.Close()
 	fr := newFrameReader(c, s.opts.MaxMessageBytes)
+	names := ingest.ServiceTable{}
 	for {
 		frame, tooLong, err := fr.next()
 		if tooLong {
@@ -492,7 +495,7 @@ func (s *Server) serveTCPConn(c net.Conn) {
 		if tooLong || len(frame) == 0 {
 			continue
 		}
-		s.ingestSyslog(obs.ListenerTCP, frame)
+		s.ingestSyslog(obs.ListenerTCP, frame, names)
 	}
 }
 

@@ -47,6 +47,14 @@ const maxPRI = 191
 // full of almost-3164. A missing or malformed PRI is an error — that
 // is the one framing invariant every syslog sender honours.
 func ParseSyslog(b []byte, defaultService string) (ingest.Record, error) {
+	return parseSyslog(b, defaultService, nil)
+}
+
+// parseSyslog is ParseSyslog with the service name interned in names,
+// the calling listener goroutine's table: a stream names the same
+// services over and over, so a record then costs one string, its
+// message, instead of two.
+func parseSyslog(b []byte, defaultService string, names ingest.ServiceTable) (ingest.Record, error) {
 	b = trimTrailingEOL(b)
 	if len(b) == 0 {
 		return ingest.Record{}, errEmpty
@@ -71,9 +79,9 @@ func ParseSyslog(b []byte, defaultService string) (ingest.Record, error) {
 
 	// RFC 5424 is distinguished by VERSION: a digit run then a space.
 	if v, after, ok := syslogVersion(rest); ok && v == 1 {
-		return parse5424(after, defaultService)
+		return parse5424(after, defaultService, names)
 	}
-	return parse3164(rest, defaultService)
+	return parse3164(rest, defaultService, names)
 }
 
 // syslogVersion reads the RFC 5424 VERSION field (NONZERO-DIGIT 0*2DIGIT
@@ -92,7 +100,7 @@ func syslogVersion(b []byte) (version int, rest []byte, ok bool) {
 
 // parse5424 parses everything after "<PRI>VERSION SP":
 // TIMESTAMP SP HOSTNAME SP APP-NAME SP PROCID SP MSGID SP SD [SP MSG].
-func parse5424(b []byte, defaultService string) (ingest.Record, error) {
+func parse5424(b []byte, defaultService string, names ingest.ServiceTable) (ingest.Record, error) {
 	var appName []byte
 	for field := 0; field < 5; field++ {
 		f, rest, err := nextField(b)
@@ -124,7 +132,7 @@ func parse5424(b []byte, defaultService string) (ingest.Record, error) {
 	}
 	service := defaultService
 	if len(appName) > 0 && !(len(appName) == 1 && appName[0] == '-') {
-		service = string(appName)
+		service = names.Intern(appName)
 	}
 	return ingest.Record{Service: service, Message: string(msg)}, nil
 }
@@ -179,13 +187,13 @@ func skipStructuredData(b []byte) ([]byte, error) {
 // TIMESTAMP SP HOSTNAME SP TAG[pid]: CONTENT. When the header does not
 // parse, RFC 3164 §4.3.3 says to treat everything after the PRI as
 // CONTENT, which is what the fallback does (with defaultService).
-func parse3164(b []byte, defaultService string) (ingest.Record, error) {
+func parse3164(b []byte, defaultService string, names ingest.ServiceTable) (ingest.Record, error) {
 	if content, ok := strip3164Header(b); ok {
 		if tag, msg, ok := splitTag(content); ok {
 			if len(msg) == 0 {
 				return ingest.Record{}, errNoMessage
 			}
-			return ingest.Record{Service: string(tag), Message: string(msg)}, nil
+			return ingest.Record{Service: names.Intern(tag), Message: string(msg)}, nil
 		}
 		if len(content) == 0 {
 			return ingest.Record{}, errNoMessage

@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/ingest"
+	"repro/internal/testenv"
 )
 
 func TestParseSyslogRFC5424(t *testing.T) {
@@ -175,5 +179,34 @@ func TestFormatRFC5424RoundTrip(t *testing.T) {
 	}
 	if !strings.HasPrefix(line, "<134>1 2026-08-05T12:00:00Z host1 auth ") {
 		t.Fatalf("unexpected header: %q", line)
+	}
+}
+
+// TestParseSyslogInternsService checks that a listener's service table
+// hands out one string per service: a repeated APP-NAME or TAG costs no
+// allocation, only the message does.
+func TestParseSyslogInternsService(t *testing.T) {
+	names := ingest.ServiceTable{}
+	frames := [][]byte{
+		[]byte("<34>1 2026-03-01T10:00:00Z host sshd 42 - - Accepted password for root"),
+		[]byte("<34>Mar  1 10:00:00 host cron[7]: job started"),
+	}
+	for _, f := range frames {
+		first, err := parseSyslog(f, "fallback", names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := parseSyslog(f, "fallback", names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != again || unsafe.StringData(first.Service) != unsafe.StringData(again.Service) {
+			t.Fatalf("%q: service %q not interned", f, first.Service)
+		}
+		if !testenv.Race {
+			if n := testing.AllocsPerRun(100, func() { _, _ = parseSyslog(f, "fallback", names) }); n != 1 {
+				t.Fatalf("%q: %.1f allocations per parse, want 1 (the message)", f, n)
+			}
+		}
 	}
 }

@@ -122,6 +122,13 @@ func (f *Fault) FailSync(n int) {
 	f.failSyncN = n
 }
 
+// FailNextSync makes the next Sync fail as FailSync does.
+func (f *Fault) FailNextSync() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.failSyncN = f.syncs + 1
+}
+
 // SetDiskBudget limits the total bytes the disk will accept; further
 // writes fail with an error matching ErrNoSpace. A negative budget is
 // unlimited.
