@@ -11,10 +11,6 @@
 //	    emits one of the sixteen synthetic LogHub stand-ins used by the
 //	    accuracy experiments (Tables II and III). With -labels each line
 //	    is prefixed by its ground-truth event id and a tab.
-//
-//	loggen corpus -count 1000 [-seed 1] [-services 241] [-format text|jsonl]
-//	    emits a deterministic fixed-seed corpus to stdout: the exact same
-//	    (seed, count, services) always produces the exact same bytes.
 package main
 
 import (
@@ -39,8 +35,6 @@ func main() {
 		err = cmdWorkload(os.Args[2:])
 	case "loghub":
 		err = cmdLoghub(os.Args[2:])
-	case "corpus":
-		err = cmdCorpus(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -55,11 +49,10 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: loggen workload|loghub|corpus [flags]
+	fmt.Fprintln(os.Stderr, `usage: loggen workload|loghub [flags]
 
   workload  -n N [-services S] [-events E] [-seed SEED] [-target URL -rate R [-framing newline|octet]]
   loghub    -dataset NAME [-n N] [-view raw|content|pre] [-labels] [-seed SEED]
-  corpus    -count N [-seed SEED] [-services S] [-format text|jsonl]
 
 datasets: `+strings.Join(loghub.Names(), ", "))
 }
@@ -121,33 +114,4 @@ func cmdLoghub(args []string) error {
 		}
 	}
 	return nil
-}
-
-// cmdCorpus emits a deterministic corpus: same flags, same bytes. It is
-// the single source of benchmark and fuzz-seed input, so throughput
-// numbers and fuzz coverage are measured on the same distribution.
-func cmdCorpus(args []string) error {
-	fs := flag.NewFlagSet("corpus", flag.ExitOnError)
-	count := fs.Int("count", 1000, "number of records")
-	seed := fs.Int64("seed", 1, "random seed (the corpus is a pure function of the flags)")
-	services := fs.Int("services", 241, "number of services")
-	format := fs.String("format", "text", "text (message per line) | jsonl ({service,message} records)")
-	fs.Parse(args)
-
-	gen := workload.New(workload.Config{Services: *services, Seed: *seed})
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	switch *format {
-	case "jsonl":
-		return gen.Stream(w, *count)
-	case "text":
-		for i := 0; i < *count; i++ {
-			if _, err := fmt.Fprintln(w, gen.Next().Message); err != nil {
-				return fmt.Errorf("corpus: write: %w", err)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown format %q (want text or jsonl)", *format)
-	}
 }

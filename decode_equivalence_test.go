@@ -65,7 +65,7 @@ func mineStream(t *testing.T, stream []byte) (mined []minedPattern, fallback, re
 
 func TestDecoderFastPathEqualsFallback(t *testing.T) {
 	const n = 6000
-	gen := workload.New(workload.Config{Seed: 1}) // the `loggen corpus` stream
+	gen := workload.New(workload.Config{Seed: 1}) // the `loggen workload -seed 1` stream
 	var plain, escaped bytes.Buffer
 	for i := 0; i < n; i++ {
 		rec := gen.Next()

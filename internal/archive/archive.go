@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/route"
 	"repro/internal/vfs"
 )
 
@@ -395,18 +396,7 @@ func Open(dir string, opts Options) (*Archive, error) {
 
 //seqrtg:noalloc
 func (a *Archive) shardFor(service string) *shard {
-	// Inline FNV-1a over the string: hash/fnv would force a []byte
-	// conversion (an allocation) on the zero-alloc append path.
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(service); i++ {
-		h ^= uint32(service[i])
-		h *= prime32
-	}
-	return &a.shards[h%uint32(len(a.shards))]
+	return &a.shards[route.Shard(service, len(a.shards))]
 }
 
 // bucketFor truncates a unix-nanosecond timestamp to its bucket start

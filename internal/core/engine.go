@@ -190,36 +190,18 @@ func (e *Engine) Parse(service, message string) (*patterns.Pattern, map[string]s
 	return p, vals, true
 }
 
+// mixedService is the pseudo-service the classic Analyze mines and
+// stores every record under.
+const mixedService = "mixed"
+
 // Analyze processes a batch the way the original Sequence does: one
-// analysis over all records with no service partitioning and no
-// parse-before-analyze short circuit. Kept for the Fig 5 comparison and
-// for single-source ad-hoc use.
+// analysis over all records under the "mixed" pseudo-service, with no
+// service partitioning and no parse-before-analyze short circuit. Kept
+// for the Fig 5 comparison and for single-source ad-hoc use. It runs the
+// same per-partition pass as AnalyzeByService, so the trie bound and the
+// engine metrics cover it too.
 func (e *Engine) Analyze(records []ingest.Record, now time.Time) (BatchResult, error) {
-	start := time.Now()
-	a := analyzer.New("mixed", e.cfg.Analyzer)
-	s := token.NewScanner(e.cfg.Scanner)
-	defer s.Release()
-	services := make(map[string]struct{}, 64)
-	for _, rec := range records {
-		services[rec.Service] = struct{}{}
-		msg := e.maskMsg(rec.Message)
-		// Add interns what it keeps, so handing it the scanner's reused
-		// buffer (Scan, not ScanCopy) is safe and allocation-free.
-		a.Add(token.Enrich(s.Scan(msg)), msg)
-	}
-	res := BatchResult{Messages: len(records), Unmatched: len(records), Services: len(services)}
-	ops, saved := e.mineOps(a, now)
-	if _, err := e.store.ApplyBatch("mixed", ops); err != nil {
-		return res, &PersistError{Err: fmt.Errorf("core: save patterns: %w", err)}
-	}
-	res.NewPatterns = saved
-	res.Duration = time.Since(start)
-	e.m.EngineBatches.Inc()
-	e.m.EngineMessages.Add(int64(res.Messages))
-	e.m.EngineUnmatched.Add(int64(res.Unmatched))
-	e.m.EnginePatternsMined.Add(int64(res.NewPatterns))
-	e.m.EngineBatchDuration.ObserveDuration(res.Duration)
-	return res, nil
+	return e.analyzeBatch(context.Background(), records, now, false)
 }
 
 // AnalyzeByService processes a batch with the Sequence-RTG workflow
@@ -236,28 +218,53 @@ func (e *Engine) AnalyzeByService(records []ingest.Record, now time.Time) (Batch
 // ctx.Err(). The returned BatchResult covers the partitions that
 // completed.
 func (e *Engine) AnalyzeByServiceContext(ctx context.Context, records []ingest.Record, now time.Time) (BatchResult, error) {
-	start := time.Now()
+	return e.analyzeBatch(ctx, records, now, true)
+}
 
-	// One map lookup per record: the map holds each service's index into
-	// parts, and the messages append to the slice element in place.
-	type partition struct {
-		svc  string
-		msgs []string
+// partition is one unit of analysis: a service and its messages in
+// arrival order.
+type partition struct {
+	svc  string
+	msgs []string
+}
+
+// partitionRecords groups a batch for analysis. By service it returns
+// one partition per service, sorted by name; otherwise one partition
+// under mixedService holding every message. services is the number of
+// distinct services in the batch either way.
+func partitionRecords(records []ingest.Record, byService bool) (parts []partition, services int) {
+	if !byService {
+		parts = []partition{{svc: mixedService, msgs: make([]string, 0, len(records))}}
 	}
-	var parts []partition
+	// One map lookup per record: the map holds each service's index into
+	// parts (always 0 when not partitioning by service), and the messages
+	// append to the slice element in place.
 	index := make(map[string]int)
 	for _, rec := range records {
 		i, ok := index[rec.Service]
 		if !ok {
-			i = len(parts)
+			if byService {
+				i = len(parts)
+				parts = append(parts, partition{svc: rec.Service})
+			}
 			index[rec.Service] = i
-			parts = append(parts, partition{svc: rec.Service})
 		}
 		parts[i].msgs = append(parts[i].msgs, rec.Message)
 	}
 	sort.Slice(parts, func(a, b int) bool { return parts[a].svc < parts[b].svc })
+	return parts, len(index)
+}
 
-	res := BatchResult{Services: len(parts)}
+// analyzeBatch is the one batch pass behind Analyze and
+// AnalyzeByService: partition the records, run analyzeService over the
+// partitions on up to Concurrency workers, and record the batch
+// metrics. byService selects the Sequence-RTG workflow (per-service
+// partitions, parse first); without it the batch is one mixed partition
+// that is mined whole.
+func (e *Engine) analyzeBatch(ctx context.Context, records []ingest.Record, now time.Time, byService bool) (BatchResult, error) {
+	start := time.Now()
+	parts, services := partitionRecords(records, byService)
+	res := BatchResult{Services: services}
 
 	// Workers above GOMAXPROCS are allowed: a worker blocked on a shard
 	// lock or journal write is not using its CPU, so modest
@@ -292,7 +299,7 @@ dispatch:
 		go func(i int, part partition) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r, err := e.analyzeService(part.svc, part.msgs, now)
+			r, err := e.analyzeService(part.svc, part.msgs, now, byService)
 			outs[i] = svcOut{res: r, err: err}
 		}(i, part)
 	}
@@ -316,11 +323,14 @@ dispatch:
 	return res, nil
 }
 
-// analyzeService runs the per-service pipeline. No cross-worker lock is
-// needed: every store and parser mutation made here is keyed by svc, so
-// it lands in svc's shard of each layer, and a service is only ever
-// handled by one worker per batch.
-func (e *Engine) analyzeService(svc string, msgs []string, now time.Time) (BatchResult, error) {
+// analyzeService runs the per-partition pipeline. With parseFirst each
+// message is matched against svc's known patterns first and only the
+// unmatched ones are mined; without it (the classic Analyze) every
+// message is mined. No cross-worker lock is needed: every store and
+// parser mutation made here is keyed by svc, so it lands in svc's shard
+// of each layer, and a service is only ever handled by one worker per
+// batch.
+func (e *Engine) analyzeService(svc string, msgs []string, now time.Time, parseFirst bool) (BatchResult, error) {
 	start := time.Now()
 	defer e.m.EngineServiceAnalysis.ObserveSince(start)
 	res := BatchResult{Messages: len(msgs)}
@@ -386,17 +396,21 @@ func (e *Engine) analyzeService(svc string, msgs []string, now time.Time) (Batch
 	for _, msg := range msgs {
 		// Repetitive traffic fast path: a byte-identical message seen since
 		// the last pattern mutation skips scanning and matching entirely.
-		if p, ok := e.parser.MatchExact(svc, msg); ok {
-			record(p, msg)
-			archiveAdd(p, msg, nil)
-			continue
+		if parseFirst {
+			if p, ok := e.parser.MatchExact(svc, msg); ok {
+				record(p, msg)
+				archiveAdd(p, msg, nil)
+				continue
+			}
 		}
 		toks := token.Enrich(s.Scan(msg))
-		if p, ok := e.parser.Match(svc, toks); ok {
-			e.parser.CacheExact(svc, msg, p)
-			record(p, msg)
-			archiveAdd(p, msg, toks)
-			continue
+		if parseFirst {
+			if p, ok := e.parser.Match(svc, toks); ok {
+				e.parser.CacheExact(svc, msg, p)
+				record(p, msg)
+				archiveAdd(p, msg, toks)
+				continue
+			}
 		}
 		res.Unmatched++
 		// Add interns everything it keeps, so the scanner's reused token
@@ -509,21 +523,17 @@ func (e *Engine) mineOps(a *analyzer.Analyzer, now time.Time) (ops []store.Op, s
 	return ops, saved
 }
 
-// Run drains a batch source batch by batch through AnalyzeByService,
-// calling report (if non-nil) after every batch. It is the main loop of
-// the production deployment: the source is the stdin ingest.Reader when
+// RunContext drains a batch source batch by batch through
+// AnalyzeByServiceContext, calling report (if non-nil) after every batch
+// and taking the Flush barrier after it. It is the main loop of the
+// production deployment: the source is the stdin ingest.Reader when
 // syslog-ng pipes unmatched messages to the Sequence-RTG child process
 // (§III, §IV), or the server's bounded queue when seqrtg runs as a
-// network daemon.
-func (e *Engine) Run(src ingest.BatchSource, report func(BatchResult)) (BatchResult, error) {
-	return e.RunContext(context.Background(), src, report)
-}
-
-// RunContext is Run with cancellation: the loop checks ctx between
-// batches (and between service partitions within a batch) and returns
-// ctx.Err() once cancelled, after flushing the store. A batch in flight
-// when ctx fires is the most that completes — RunContext returns within
-// one batch of cancellation.
+// network daemon. The loop checks ctx between batches (and between
+// service partitions within a batch) and returns ctx.Err() once
+// cancelled, after flushing. A batch in flight when ctx fires is the
+// most that completes — RunContext returns within one batch of
+// cancellation.
 func (e *Engine) RunContext(ctx context.Context, src ingest.BatchSource, report func(BatchResult)) (BatchResult, error) {
 	var total BatchResult
 	for {
@@ -542,7 +552,7 @@ func (e *Engine) RunContext(ctx context.Context, src ingest.BatchSource, report 
 			// Keep what the interrupted batch did manage (flush is
 			// best-effort; the analysis error wins).
 			total.add(res)
-			_ = e.store.Flush()
+			_ = e.Flush()
 			return total, err
 		}
 		total.add(res)
@@ -553,11 +563,27 @@ func (e *Engine) RunContext(ctx context.Context, src ingest.BatchSource, report 
 		if report != nil {
 			report(res)
 		}
-		if err := e.store.Flush(); err != nil {
+		if err := e.Flush(); err != nil {
 			// The batch's mutations are applied in memory but not yet
 			// durable; the store recovers at its next successful barrier.
-			return total, &PersistError{Err: err}
+			return total, err
 		}
 	}
 	return total, nil
+}
+
+// Flush is the per-batch durability barrier: it fsyncs the store's
+// journals, then seals the archive's open blocks (when archiving is on),
+// so every pattern statistic and every archived record of the batches
+// before it survives a crash together. Failures of either are joined
+// into one *PersistError.
+func (e *Engine) Flush() error {
+	err := e.store.Flush()
+	if e.cfg.Archive != nil {
+		err = errors.Join(err, e.cfg.Archive.Flush())
+	}
+	if err != nil {
+		return &PersistError{Err: err}
+	}
+	return nil
 }

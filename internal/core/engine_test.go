@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -280,7 +281,7 @@ func TestRunBatchLoop(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	rd := ingest.NewReader(&buf, ingest.Options{BatchSize: 50})
 	batches := 0
-	total, err := e.Run(rd, func(BatchResult) { batches++ })
+	total, err := e.RunContext(context.Background(), rd, func(BatchResult) { batches++ })
 	if err != nil {
 		t.Fatal(err)
 	}

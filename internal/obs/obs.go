@@ -78,7 +78,6 @@ const (
 	MetricStoreShardOps           = "seqrtg_store_shard_ops_total"
 	MetricStoreCompactionDuration = "seqrtg_store_compaction_seconds"
 	MetricStoreBatchRecords       = "seqrtg_store_batch_records_total"
-	MetricStoreBatchCoalesced     = "seqrtg_store_batch_coalesced_total"
 	MetricStoreBatchBytes         = "seqrtg_store_batch_bytes_total"
 
 	MetricArchiveBlocks      = "seqrtg_archive_blocks_total"
@@ -401,7 +400,6 @@ type Metrics struct {
 	StoreShardOps           CounterVec // per-shard mutations (upsert/touch/delete)
 	StoreCompactionDuration *Histogram // compaction wall seconds
 	StoreBatchRecords       Counter    // journal records written through ApplyBatch group commits
-	StoreBatchCoalesced     Counter    // touch operations folded into an already-pending record of the same pattern
 	StoreBatchBytes         Counter    // journal bytes written by ApplyBatch group commits
 
 	// Archive: the pattern-aware compressed log archive.
@@ -495,7 +493,6 @@ type Snapshot struct {
 	StoreShardOps           []int64           `json:"store_shard_ops,omitempty"`
 	StoreCompactionDuration HistogramSnapshot `json:"store_compaction_seconds"`
 	StoreBatchRecords       int64             `json:"store_batch_records"`
-	StoreBatchCoalesced     int64             `json:"store_batch_coalesced"`
 	StoreBatchBytes         int64             `json:"store_batch_bytes"`
 
 	ArchiveBlocks      int64 `json:"archive_blocks"`
@@ -589,7 +586,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		StoreShardOps:           m.StoreShardOps.Values(),
 		StoreCompactionDuration: m.StoreCompactionDuration.snapshot(),
 		StoreBatchRecords:       m.StoreBatchRecords.Value(),
-		StoreBatchCoalesced:     m.StoreBatchCoalesced.Value(),
 		StoreBatchBytes:         m.StoreBatchBytes.Value(),
 
 		ArchiveBlocks:      m.ArchiveBlocks.Value(),
@@ -691,7 +687,6 @@ func (m *Metrics) descs() []metricDesc {
 		{name: MetricStoreShardOps, help: "Store mutations (upsert/touch/delete) applied, per shard.", kind: "countervec", v: &m.StoreShardOps, label: "shard"},
 		{name: MetricStoreCompactionDuration, help: "Pattern database compaction wall time.", kind: "histogram", h: m.StoreCompactionDuration},
 		{name: MetricStoreBatchRecords, help: "Journal records written through ApplyBatch group commits.", kind: "counter", c: &m.StoreBatchRecords},
-		{name: MetricStoreBatchCoalesced, help: "Touch operations folded into an already-pending record of the same pattern by batch coalescing.", kind: "counter", c: &m.StoreBatchCoalesced},
 		{name: MetricStoreBatchBytes, help: "Journal bytes written by ApplyBatch group commits.", kind: "counter", c: &m.StoreBatchBytes},
 
 		{name: MetricArchiveBlocks, help: "Archive blocks sealed and published.", kind: "counter", c: &m.ArchiveBlocks},

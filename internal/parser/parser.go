@@ -8,20 +8,20 @@
 // with the most literal positions — which resolves the overlapping-pattern
 // cases the paper mentions during patterndb review.
 //
-// The index is sharded by service (fnv32a(service) mod N, the same
-// routing as the store), so a harvest registering service A's patterns
+// The index is sharded by service (route.Shard, the same routing as the
+// store and the archive), so a harvest registering service A's patterns
 // never blocks a Match on service B: each shard has its own RWMutex,
 // and both the lookup and the mutation paths touch exactly one shard.
 package parser
 
 import (
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/patterns"
+	"repro/internal/route"
 	"repro/internal/token"
 )
 
@@ -79,14 +79,7 @@ func NewSharded(n int) *Parser {
 
 // shardFor routes a service to its shard.
 func (p *Parser) shardFor(service string) *pshard {
-	if len(p.shards) == 1 {
-		return p.shards[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(service))
-	// Reduce in uint32: int(h.Sum32()) is negative for hashes >= 2^31 on
-	// 32-bit platforms, and a negative modulo would index out of range.
-	return p.shards[int(h.Sum32()%uint32(len(p.shards)))]
+	return p.shards[route.Shard(service, len(p.shards))]
 }
 
 // SetMetrics redirects the parser's instrumentation to m (the engine
@@ -153,12 +146,7 @@ func (p *Parser) Replace(pats []*patterns.Pattern) {
 		if pat.ID == "" {
 			pat.ComputeID()
 		}
-		idx := 0
-		if len(fresh) > 1 {
-			h := fnv.New32a()
-			h.Write([]byte(pat.Service))
-			idx = int(h.Sum32() % uint32(len(fresh)))
-		}
+		idx := route.Shard(pat.Service, len(fresh))
 		// fresh shards are still thread-private, but the uncontended
 		// lock keeps the guardedby discipline machine-checkable.
 		fresh[idx].mu.Lock()

@@ -15,8 +15,8 @@
 // # Sharding
 //
 // The store is sharded by service: a pattern lives in the shard selected
-// by fnv32a(service) mod N (N defaults to GOMAXPROCS, configurable via
-// Options.Shards). Patterns never cross services (§IV of the paper), so
+// by route.Shard(service, N), the parser's and the archive's rule too (N
+// defaults to GOMAXPROCS, configurable via Options.Shards). Patterns never cross services (§IV of the paper), so
 // every mutation of one service's patterns touches exactly one shard —
 // its mutex and its journal file — and service partitions persist their
 // discoveries with no cross-service contention. Each shard appends to
@@ -66,7 +66,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"io/fs"
 	"path"
@@ -79,6 +78,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/patterns"
+	"repro/internal/route"
 	"repro/internal/store/codec"
 	"repro/internal/vfs"
 )
@@ -259,14 +259,7 @@ func (s *Store) closeJournals() {
 
 // shardFor routes a service to its shard.
 func (s *Store) shardFor(service string) *shard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(service))
-	// Reduce in uint32: int(h.Sum32()) is negative for hashes >= 2^31 on
-	// 32-bit platforms, and a negative modulo would index out of range.
-	return s.shards[int(h.Sum32()%uint32(len(s.shards)))]
+	return s.shards[route.Shard(service, len(s.shards))]
 }
 
 // lock acquires the shard mutex, counting acquisitions that had to wait
@@ -617,31 +610,21 @@ type Op struct {
 	Example string
 }
 
-// pendingTouch accumulates the coalesced journal record for one
-// pattern ID within a batch.
-type pendingTouch struct {
-	id      string
-	n       int64
-	when    time.Time
-	example string
-}
-
 // ApplyBatch applies a batch of operations for one service under a
-// single shard lock and commits them as one group journal append:
-// upserts are journaled in order, and every touch of the same pattern
-// ID is coalesced into one record (counts summed, latest match time,
-// first example kept), so a pattern matched a thousand times in the
-// batch costs one record and the whole batch costs one write. It is the
-// store's only upsert and touch path: the engine's per-service commit
-// and MergeFrom both go through it.
+// single shard lock and commits them as one group journal append, one
+// record per applied op in the order given, so the whole batch costs
+// one write. It is the store's only upsert and touch path: the engine's
+// per-service commit and MergeFrom both go through it. Callers that
+// want one record per pattern coalesce before calling, as the engine's
+// per-partition hit table does.
 //
 // Touches apply against the store state at their position in the
 // batch: a touch of an ID upserted earlier in the same batch succeeds.
-// Touches of IDs the store does not hold are not errors — their IDs
-// are returned (deduplicated) so the caller can re-seed the patterns;
-// everything else in the batch still commits. A malformed batch (nil
-// pattern, foreign service, unknown op kind) is rejected whole, before
-// anything is applied.
+// Touches of IDs the store does not hold are not errors — they are not
+// journaled, and their IDs are returned (deduplicated) so the caller can
+// re-seed the patterns; everything else in the batch still commits. A
+// malformed batch (nil pattern, foreign service, unknown op kind) is
+// rejected whole, before anything is applied.
 func (s *Store) ApplyBatch(service string, ops []Op) (unknown []string, err error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -667,23 +650,21 @@ func (s *Store) ApplyBatch(service string, ops []Op) (unknown []string, err erro
 		return nil, ErrClosed
 	}
 	var (
-		upserts    []*patterns.Pattern
-		touches    []pendingTouch
-		touchIdx   map[string]int
 		unknownSet map[string]bool
-		coalesced  int64
+		nrec       int64
 	)
+	epoch := s.epoch.Load()
+	buf := sh.encBuf[:0]
 	for i := range ops {
 		op := &ops[i]
-		switch op.Kind {
-		case OpUpsert:
-			p := withID(op.Pattern)
-			sh.mergeLocked(p)
-			upserts = append(upserts, p)
+		var rec record
+		if op.Kind == OpUpsert {
+			rec = record{Op: codec.OpUpsert, Pattern: withID(op.Pattern), E: epoch}
+			sh.mergeLocked(rec.Pattern)
 			s.m.StoreUpserts.Inc()
-			s.m.StoreShardOps.Inc(sh.id)
-		default: // OpTouch, as validated above
-			if !sh.touchLocked(record{Op: codec.OpTouch, ID: op.ID, N: op.N, When: op.When, Example: op.Example}) {
+		} else { // OpTouch, as validated above
+			rec = record{Op: codec.OpTouch, ID: op.ID, N: op.N, When: op.When, Example: op.Example, E: epoch}
+			if !sh.touchLocked(rec) {
 				if !unknownSet[op.ID] {
 					if unknownSet == nil {
 						unknownSet = make(map[string]bool)
@@ -694,59 +675,21 @@ func (s *Store) ApplyBatch(service string, ops []Op) (unknown []string, err erro
 				continue
 			}
 			s.m.StoreTouches.Inc()
-			s.m.StoreShardOps.Inc(sh.id)
-			if j, ok := touchIdx[op.ID]; ok {
-				t := &touches[j]
-				t.n += op.N
-				if op.When.After(t.when) {
-					t.when = op.When
-				}
-				if t.example == "" {
-					t.example = op.Example
-				}
-				coalesced++
-				continue
-			}
-			if touchIdx == nil {
-				touchIdx = make(map[string]int)
-			}
-			touchIdx[op.ID] = len(touches)
-			touches = append(touches, pendingTouch{id: op.ID, n: op.N, when: op.When, example: op.Example})
+		}
+		s.m.StoreShardOps.Inc(sh.id)
+		nrec++
+		if sh.jw != nil && err == nil {
+			buf, err = codec.AppendRecord(buf, &rec)
 		}
 	}
+	sh.encBuf = buf
 	s.m.StorePatterns.Set(s.count.Load())
-	nrec := int64(len(upserts) + len(touches))
 	s.m.StoreBatchRecords.Add(nrec)
-	s.m.StoreBatchCoalesced.Add(coalesced)
 	if sh.jw == nil || nrec == 0 {
 		s.jcount.Add(nrec)
 		sh.mu.Unlock()
 		return unknown, nil
 	}
-	// Journal layout of the batch: upserts first, then the coalesced
-	// touches. Replay-safe regardless of the original interleaving —
-	// a touch only entered the journal if its pattern was present when
-	// it applied (pre-existing or upserted in this batch), and touch
-	// and upsert merges are commutative (counts sum, match times take
-	// the max), so folding the touches behind the upserts reproduces
-	// the same state.
-	epoch := s.epoch.Load()
-	buf := sh.encBuf[:0]
-	for _, p := range upserts {
-		rec := record{Op: codec.OpUpsert, Pattern: p, E: epoch}
-		if buf, err = codec.AppendRecord(buf, &rec); err != nil {
-			break
-		}
-	}
-	for i := range touches {
-		if err != nil {
-			break
-		}
-		t := &touches[i]
-		rec := record{Op: codec.OpTouch, ID: t.id, N: t.n, When: t.when, Example: t.example, E: epoch}
-		buf, err = codec.AppendRecord(buf, &rec)
-	}
-	sh.encBuf = buf
 	if err != nil {
 		sh.mu.Unlock()
 		return unknown, fmt.Errorf("store: encode batch: %w", err)

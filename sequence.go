@@ -473,17 +473,11 @@ func (r *RTG) Purge(minCount int64, olderThan time.Time) (int, error) {
 }
 
 // Flush forces buffered journal writes of the pattern database to disk
-// — the durability barrier a long-running server takes after each
+// — the durability barrier Run and a long-running server take after each
 // analysed batch. With the archive enabled it also seals the archive's
 // open blocks, so every record archived before the Flush is queryable
-// after a crash.
-func (r *RTG) Flush() error {
-	err := r.store.Flush()
-	if r.archive != nil {
-		err = errors.Join(err, r.archive.Flush())
-	}
-	return err
-}
+// after a crash. Failures are *PersistError values (errors.As).
+func (r *RTG) Flush() error { return r.engine.Flush() }
 
 // Compact writes a fresh snapshot of a file-backed pattern database and
 // truncates its journal.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	sequence "repro"
+	"repro/internal/archive"
 )
 
 var now = time.Date(2021, 9, 1, 12, 0, 0, 0, time.UTC)
@@ -368,5 +369,75 @@ func TestServices(t *testing.T) {
 	got := rtg.Services()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Services = %v", got)
+	}
+}
+
+// TestRunPublishesArchiveEachBatch: Run takes the same per-batch barrier
+// as the daemon, so every record archived by a returned Run is sealed
+// and readable by a second process while the instance stays open. A
+// barrier that flushed only the pattern store would leave them in
+// memory, and a crash would keep the store's counts of batches whose
+// archive records are gone.
+func TestRunPublishesArchiveEachBatch(t *testing.T) {
+	dir := t.TempDir()
+	rtg, err := sequence.Open(dir, sequence.WithArchive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rtg.Close()
+	var in bytes.Buffer
+	for _, r := range sshdRecords(300) {
+		fmt.Fprintf(&in, "{\"service\":%q,\"message\":%q}\n", r.Service, r.Message)
+	}
+	stream := in.Bytes()
+	matched := 0
+	for range 2 {
+		res, err := rtg.Run(bytes.NewReader(stream), sequence.StreamOptions{BatchSize: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched += res.Matched
+	}
+	if matched != 500 { // the first batch mines, the other five match
+		t.Fatalf("matched %d records, want 500", matched)
+	}
+	arc, err := archive.Open(filepath.Join(dir, "archive"), archive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arc.Close()
+	got, err := arc.Query(archive.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != matched {
+		t.Fatalf("a second open of the archive reads %d records after Run, want all %d matched", len(got), matched)
+	}
+}
+
+// TestAnalyzeHonoursMaxTrieNodes: the classic Analyze runs the same
+// per-partition pass as AnalyzeByService, so the paper's trie bound
+// (limitation 5) and its gauges hold for it too.
+func TestAnalyzeHonoursMaxTrieNodes(t *testing.T) {
+	recs := make([]sequence.Record, 2000)
+	for i := range recs {
+		recs[i] = sequence.Record{Service: "svc", Message: fmt.Sprintf("event%d raised by unit%d in zone%d", i, i*7, i*13)}
+	}
+	for name, analyze := range map[string]func(*sequence.RTG) (sequence.BatchResult, error){
+		"Analyze":          func(r *sequence.RTG) (sequence.BatchResult, error) { return r.Analyze(recs, now) },
+		"AnalyzeByService": func(r *sequence.RTG) (sequence.BatchResult, error) { return r.AnalyzeByService(recs, now) },
+	} {
+		rtg, err := sequence.Open("", sequence.WithMaxTrieNodes(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := analyze(rtg); err != nil {
+			t.Fatal(err)
+		}
+		snap := rtg.Snapshot()
+		if snap.EngineEarlyHarvests < 1 || snap.EngineTrieNodesPeak <= 0 {
+			t.Errorf("%s: %d early harvests, trie peak %d; want >= 1 and > 0", name, snap.EngineEarlyHarvests, snap.EngineTrieNodesPeak)
+		}
+		rtg.Close()
 	}
 }
