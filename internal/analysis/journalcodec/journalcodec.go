@@ -1,6 +1,7 @@
 // Package journalcodec enforces the store's record-encoding seam: the
-// journal's on-disk encoding is owned by internal/store/codec, and the
-// only legal way to render or parse a journal record (codec.Record) or
+// journal record's payload encoding is owned by internal/store/codec
+// (the checksummed frame around it by internal/frame), and the only
+// legal way to render or parse a journal record (codec.Record) or
 // snapshot envelope (codec.Snapshot) is through that package's
 // AppendRecord, Reader and snapshot functions. A direct json.Marshal of
 // a Record elsewhere silently re-creates the retired v1 wire format — it

@@ -545,9 +545,9 @@ func (a *Archive) publishLocked() error {
 }
 
 // writeSegment encodes one bucket's sealed blocks into a segment,
-// publishes it with tmp → write → one Sync → rename, and installs it in
-// the index, taking its blocks off the sealed list in the same critical
-// section.
+// publishes it with vfs.Publish (tmp → write → one Sync → rename), and
+// installs it in the index, taking its blocks off the sealed list in the
+// same critical section.
 func (a *Archive) writeSegment(bucket int64, group []*memBlock) error {
 	w := &a.w
 	buf, entries := w.buf[:0], w.entries[:0]
@@ -565,12 +565,15 @@ func (a *Archive) writeSegment(bucket int64, group []*memBlock) error {
 			start = p.ends[i]
 		}
 	}
-	buf = appendFooter(buf, bucket, entries)
+	buf, err := appendFooter(buf, bucket, entries)
 	w.buf, w.entries = buf, entries
+	if err != nil {
+		return err
+	}
 	seq := a.seq.Add(1)
 	name := segName(bucket, seq)
 	tmp := filepath.Join(a.dir, fmt.Sprintf("tmp-%08d.seg", seq))
-	if err := a.writeFile(tmp, filepath.Join(a.dir, name), buf); err != nil {
+	if err := vfs.Publish(a.opts.FS, tmp, filepath.Join(a.dir, name), buf); err != nil {
 		a.m.ArchiveIOErrors.Inc()
 		return fmt.Errorf("archive: publish segment: %w", err)
 	}
@@ -602,34 +605,6 @@ func withoutBlocks(sealed, group []*memBlock) []*memBlock {
 		out = append(out, b)
 	}
 	return out
-}
-
-// writeFile publishes data under final: written to tmp, synced, then
-// renamed into place. On failure tmp is removed best-effort.
-func (a *Archive) writeFile(tmp, final string, data []byte) error {
-	f, err := a.opts.FS.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		_ = a.opts.FS.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = a.opts.FS.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = a.opts.FS.Remove(tmp)
-		return err
-	}
-	if err := a.opts.FS.Rename(tmp, final); err != nil {
-		_ = a.opts.FS.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // retireLocked deletes published segments older than the retention

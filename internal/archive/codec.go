@@ -5,21 +5,14 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"repro/internal/frame"
 )
 
-// The archive block format. A sealed block is one self-delimiting
-// frame, following the journal codec's framing conventions
-// (internal/store/codec):
-//
-//	0x00                     frame marker
-//	uvarint                  payload length
-//	4 bytes, little-endian   CRC-32C (Castagnoli) of the payload
-//	payload
-//
-// Segments (segment.go) hold block frames back to back; block files of
-// the earlier format hold exactly one.
+// The archive block format. A sealed block is one internal/frame frame
+// with the marker 0x00. Segments (segment.go) hold block frames back to
+// back; block files of the earlier format hold exactly one.
 //
 // The payload is columnar. Everything a query needs for pruning —
 // service, time bounds, the pattern dictionary — comes before the
@@ -47,12 +40,12 @@ import (
 //	         variable column: per record a uvarint value count followed
 //	           by that many (uvarint length + bytes) values
 //
-// with string encoded as uvarint length + raw bytes, exactly as in the
-// journal codec. Version 1, which block files of the earlier format
-// carry, differs in two places: each dictionary ID is a plain string,
-// and the timestamp and pattern columns are stored raw, each after its
-// length, ahead of the raw variable column length and the DEFLATE of
-// the variable column alone. Both versions decode.
+// with string encoded as frame.AppendString writes it. Version 1, which
+// block files of the earlier format carry, differs in two places: each
+// dictionary ID is a plain string, and the timestamp and pattern
+// columns are stored raw, each after its length, ahead of the raw
+// variable column length and the DEFLATE of the variable column alone.
+// Both versions decode.
 //
 // A decoder failure of any kind — short frame, CRC mismatch, bad
 // varint, an index past the dictionary, trailing bytes — is reported as
@@ -80,22 +73,6 @@ const deflateLevel = 3
 // bytes: a SHA-1 in lowercase hex.
 const hexIDLen = 40
 
-// maxBlockPayload bounds a frame payload (64 MiB), mirroring the
-// journal codec's cap: a corrupt length prefix must not size a
-// multi-gigabyte read.
-const maxBlockPayload = 1 << 26
-
-// castagnoli is the CRC-32C table used by every frame.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// maxBlockHeader is the worst-case frame header size: marker, uvarint
-// payload length, CRC.
-const maxBlockHeader = 1 + binary.MaxVarintLen64 + 4
-
-// zeroBlockHeader reserves header space in the encode buffer without
-// allocating.
-var zeroBlockHeader [maxBlockHeader]byte
-
 // CorruptError reports a segment (or a block in it) that cannot be
 // decoded. Queries serve nothing from such a segment (only external
 // damage produces one, and it must never be served); pdbtool surfaces
@@ -113,6 +90,24 @@ func (e *CorruptError) Error() string {
 }
 
 func corrupt(reason string) error { return &CorruptError{Reason: reason} }
+
+// split checks that data is exactly one frame opened by marker and
+// returns its payload.
+func split(data []byte, marker byte) ([]byte, error) {
+	payload, err := frame.Split(data, marker)
+	if err != nil {
+		return nil, corrupt(err.Error())
+	}
+	return payload, nil
+}
+
+// decodeErr reports d's first failure, if any, as a *CorruptError.
+func decodeErr(d *frame.Decoder) error {
+	if r := d.Reason(); r != "" {
+		return corrupt(r)
+	}
+	return nil
+}
 
 // blockData is one decoded block. Decoded blocks are immutable and
 // shared through the block cache.
@@ -151,9 +146,9 @@ func (e *blockEncoder) appendBlock(dst []byte, b *memBlock) ([]byte, error) {
 	}
 
 	start := len(dst)
-	buf := append(dst, zeroBlockHeader[:]...)
+	buf := frame.Begin(dst)
 	buf = append(buf, blockVersion)
-	buf = appendString(buf, b.service)
+	buf = frame.AppendString(buf, b.service)
 	buf = binary.AppendVarint(buf, b.bucket)
 	buf = binary.AppendUvarint(buf, uint64(b.count))
 	buf = binary.AppendVarint(buf, b.minTS)
@@ -167,10 +162,11 @@ func (e *blockEncoder) appendBlock(dst []byte, b *memBlock) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(b.vars)))
 	buf = binary.AppendUvarint(buf, uint64(e.comp.Len()))
 	buf = append(buf, e.comp.Bytes()...)
-	if len(buf)-start-maxBlockHeader > maxBlockPayload {
-		return buf[:start], fmt.Errorf("archive: block payload %d bytes exceeds limit", len(buf)-start-maxBlockHeader)
+	buf, err := frame.End(buf, start, blockMarker)
+	if err != nil {
+		return buf, fmt.Errorf("archive: seal block: %w", err)
 	}
-	return closeFrame(buf, start, blockMarker), nil
+	return buf, nil
 }
 
 // appendPatternID appends one dictionary entry: a hex SHA-1 ID as its
@@ -207,144 +203,6 @@ func unhex(c byte) byte {
 	return c - 'a' + 10
 }
 
-// closeFrame finishes the frame that starts at buf[start]: its payload
-// was written after maxBlockHeader reserved bytes, which are replaced
-// by the real header (marker, uvarint length, CRC) with the payload
-// shifted down over the unused remainder.
-func closeFrame(buf []byte, start int, marker byte) []byte {
-	payload := buf[start+maxBlockHeader:]
-	var hdr [maxBlockHeader]byte
-	hdr[0] = marker
-	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(payload, castagnoli))
-	n += 4
-	copy(buf[start:], hdr[:n])
-	if n < maxBlockHeader {
-		copy(buf[start+n:], payload)
-		buf = buf[:start+n+len(payload)]
-	}
-	return buf
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// blockDecoder walks a checksummed payload. The first failure sticks.
-type blockDecoder struct {
-	b   []byte
-	i   int
-	err error
-}
-
-func (d *blockDecoder) fail(reason string) {
-	if d.err == nil {
-		d.err = corrupt(reason)
-	}
-}
-
-func (d *blockDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.i >= len(d.b) {
-		d.fail("payload truncated")
-		return 0
-	}
-	c := d.b[d.i]
-	d.i++
-	return c
-}
-
-func (d *blockDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.i:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.i += n
-	return v
-}
-
-func (d *blockDecoder) svarint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.i:])
-	if n <= 0 {
-		d.fail("bad svarint")
-		return 0
-	}
-	d.i += n
-	return v
-}
-
-func (d *blockDecoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.i) {
-		d.fail("string length exceeds payload")
-		return ""
-	}
-	s := string(d.b[d.i : d.i+int(n)])
-	d.i += int(n)
-	return s
-}
-
-func (d *blockDecoder) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.i) {
-		d.fail("column length exceeds payload")
-		return nil
-	}
-	b := d.b[d.i : d.i+int(n)]
-	d.i += int(n)
-	return b
-}
-
-// frameOf splits data, which must be exactly one frame opened by
-// marker, into its checksummed payload.
-func frameOf(data []byte, marker byte) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, corrupt("empty file")
-	}
-	if data[0] != marker {
-		return nil, corrupt("bad frame marker")
-	}
-	plen, n := binary.Uvarint(data[1:])
-	if n <= 0 {
-		return nil, corrupt("bad payload length")
-	}
-	if plen > maxBlockPayload {
-		return nil, corrupt("payload length exceeds limit")
-	}
-	rest := data[1+n:]
-	if len(rest) < 4 {
-		return nil, corrupt("frame truncated before checksum")
-	}
-	sum := binary.LittleEndian.Uint32(rest)
-	payload := rest[4:]
-	if uint64(len(payload)) < plen {
-		return nil, corrupt("frame truncated")
-	}
-	if uint64(len(payload)) > plen {
-		return nil, corrupt("trailing bytes after frame")
-	}
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, corrupt("checksum mismatch")
-	}
-	return payload, nil
-}
-
 // blockHeader is the prune-relevant prefix of a block payload: all the
 // metadata a query needs to reject a block without inflating it.
 type blockHeader struct {
@@ -359,40 +217,40 @@ type blockHeader struct {
 
 // parseHeader walks the header portion of a payload. On return d is
 // positioned just past the pattern dictionary.
-func parseHeader(d *blockDecoder) (blockHeader, error) {
+func parseHeader(d *frame.Decoder) (blockHeader, error) {
 	var h blockHeader
-	h.version = d.byte()
-	if d.err == nil && h.version != blockVersion && h.version != blockVersion1 {
-		d.fail("unknown block version")
+	h.version = d.Byte()
+	if d.Reason() == "" && h.version != blockVersion && h.version != blockVersion1 {
+		d.Fail("unknown block version")
 	}
-	h.service = d.str()
-	h.bucket = d.svarint()
-	count := d.uvarint()
-	h.minTS = d.svarint()
-	h.maxTS = d.svarint()
-	npat := d.uvarint()
-	if npat > uint64(len(d.b)-d.i) {
+	h.service = d.Str()
+	h.bucket = d.Svarint()
+	count := d.Uvarint()
+	h.minTS = d.Svarint()
+	h.maxTS = d.Svarint()
+	npat := d.Uvarint()
+	if npat > uint64(d.Len()) {
 		// Every dictionary entry costs at least one payload byte; a count
 		// past the remaining length is garbage and must not size a make().
-		d.fail("pattern count exceeds payload")
+		d.Fail("pattern count exceeds payload")
 	}
-	if h.version == blockVersion1 && count > uint64(len(d.b)-d.i) {
+	if h.version == blockVersion1 && count > uint64(d.Len()) {
 		// Every record costs at least one raw byte in each column.
-		d.fail("record count exceeds payload")
+		d.Fail("record count exceeds payload")
 	}
-	if count > maxBlockPayload {
+	if count > frame.MaxPayload {
 		// Every record costs at least one byte in each inflated column.
-		d.fail("record count exceeds limit")
+		d.Fail("record count exceeds limit")
 	}
-	if d.err != nil {
-		return h, d.err
+	if err := decodeErr(d); err != nil {
+		return h, err
 	}
 	h.count = int(count)
 	h.pats = make([]string, 0, npat)
 	for range npat {
-		s := d.patternID(h.version)
-		if d.err != nil {
-			return h, d.err
+		s := patternID(d, h.version)
+		if err := decodeErr(d); err != nil {
+			return h, err
 		}
 		h.pats = append(h.pats, s)
 	}
@@ -400,91 +258,81 @@ func parseHeader(d *blockDecoder) (blockHeader, error) {
 }
 
 // patternID reads one dictionary entry of the given payload version.
-func (d *blockDecoder) patternID(version byte) string {
+func patternID(d *frame.Decoder, version byte) string {
 	if version == blockVersion1 {
-		return d.str()
+		return d.Str()
 	}
-	k := d.uvarint()
-	if d.err != nil {
-		return ""
+	if k := d.Uvarint(); k > 0 {
+		return string(d.Take(k - 1))
 	}
-	if k > 0 {
-		if k-1 > uint64(len(d.b)-d.i) {
-			d.fail("pattern ID length exceeds payload")
-			return ""
-		}
-		s := string(d.b[d.i : d.i+int(k-1)])
-		d.i += int(k - 1)
-		return s
-	}
-	if hexIDLen/2 > len(d.b)-d.i {
-		d.fail("pattern ID length exceeds payload")
+	raw := d.Take(hexIDLen / 2)
+	if raw == nil {
 		return ""
 	}
 	const digits = "0123456789abcdef"
 	var id [hexIDLen]byte
-	for i, c := range d.b[d.i : d.i+hexIDLen/2] {
+	for i, c := range raw {
 		id[2*i], id[2*i+1] = digits[c>>4], digits[c&0x0f]
 	}
-	d.i += hexIDLen / 2
 	return string(id[:])
 }
 
 // decodeHeader verifies the frame checksum and decodes only the header
 // metadata, leaving the compressed section untouched.
 func decodeHeader(data []byte) (blockHeader, error) {
-	payload, err := frameOf(data, blockMarker)
+	payload, err := split(data, blockMarker)
 	if err != nil {
 		return blockHeader{}, err
 	}
-	return parseHeader(&blockDecoder{b: payload})
+	d := frame.NewDecoder(payload)
+	return parseHeader(&d)
 }
 
 // decodeBlock decodes one complete block frame. Any failure is a
 // *CorruptError; the returned block is fully validated — iteration
 // cannot fail afterwards.
 func decodeBlock(data []byte) (*blockData, error) {
-	payload, err := frameOf(data, blockMarker)
+	payload, err := split(data, blockMarker)
 	if err != nil {
 		return nil, err
 	}
-	d := &blockDecoder{b: payload}
-	h, err := parseHeader(d)
+	d := frame.NewDecoder(payload)
+	h, err := parseHeader(&d)
 	if err != nil {
 		return nil, err
 	}
 	b := &blockData{blockHeader: h}
+	// rawLen is the inflated length: the variable column in version 1,
+	// all three columns in version 2.
 	var tsCol, patCol []byte
+	var tsLen, patLen, rawLen uint64
 	if h.version == blockVersion1 {
-		tsCol = d.bytes()
-		patCol = d.bytes()
-		rawLen := d.uvarint()
-		if rawLen > maxBlockPayload {
-			d.fail("variable column length exceeds limit")
-		}
-		comp := d.bytes()
-		if d.err == nil {
-			b.vars, d.err = inflate(comp, int(rawLen))
+		tsCol, patCol = d.Bytes(), d.Bytes()
+		if rawLen = d.Uvarint(); rawLen > frame.MaxPayload {
+			d.Fail("variable column length exceeds limit")
 		}
 	} else {
-		tsLen, patLen, varLen := d.uvarint(), d.uvarint(), d.uvarint()
-		if tsLen > maxBlockPayload || patLen > maxBlockPayload || varLen > maxBlockPayload || tsLen+patLen+varLen > maxBlockPayload {
-			d.fail("column length exceeds limit")
+		tsLen, patLen, rawLen = d.Uvarint(), d.Uvarint(), d.Uvarint()
+		if tsLen > frame.MaxPayload || patLen > frame.MaxPayload || rawLen > frame.MaxPayload || tsLen+patLen+rawLen > frame.MaxPayload {
+			d.Fail("column length exceeds limit")
 		}
-		comp := d.bytes()
-		var raw []byte
-		if d.err == nil {
-			raw, d.err = inflate(comp, int(tsLen+patLen+varLen))
-		}
-		if d.err == nil {
-			tsCol, patCol, b.vars = raw[:tsLen], raw[tsLen:tsLen+patLen], raw[tsLen+patLen:]
-		}
+		rawLen += tsLen + patLen
 	}
-	if d.err != nil {
-		return nil, d.err
+	comp := d.Bytes()
+	if d.Reason() == "" && d.Len() != 0 {
+		d.Fail("trailing payload bytes")
 	}
-	if d.i != len(d.b) {
-		return nil, corrupt("trailing payload bytes")
+	if err := decodeErr(&d); err != nil {
+		return nil, err
+	}
+	raw, err := inflate(comp, int(rawLen))
+	if err != nil {
+		return nil, err
+	}
+	if h.version == blockVersion1 {
+		b.vars = raw
+	} else {
+		tsCol, patCol, b.vars = raw[:tsLen], raw[tsLen:tsLen+patLen], raw[tsLen+patLen:]
 	}
 	if b.count > len(tsCol) || b.count > len(patCol) {
 		// Every record costs at least one byte in each column.
@@ -526,24 +374,24 @@ func decodeBlock(data []byte) (*blockData, error) {
 
 	// Variable column: walk once to validate and index.
 	b.varOff = make([]int, 0, b.count+1)
-	vd := &blockDecoder{b: b.vars}
+	vd := frame.NewDecoder(b.vars)
 	for i := 0; i < b.count; i++ {
-		b.varOff = append(b.varOff, vd.i)
-		nv := vd.uvarint()
-		if nv > uint64(len(vd.b)-vd.i) {
-			vd.fail("variable count exceeds column")
+		b.varOff = append(b.varOff, len(b.vars)-vd.Len())
+		nv := vd.Uvarint()
+		if nv > uint64(vd.Len()) {
+			vd.Fail("variable count exceeds column")
 		}
-		for j := uint64(0); j < nv && vd.err == nil; j++ {
-			vd.bytes()
+		for j := uint64(0); j < nv && vd.Reason() == ""; j++ {
+			vd.Bytes()
 		}
-		if vd.err != nil {
-			return nil, vd.err
+		if err := decodeErr(&vd); err != nil {
+			return nil, err
 		}
 	}
-	if vd.i != len(vd.b) {
+	if vd.Len() != 0 {
 		return nil, corrupt("trailing variable column bytes")
 	}
-	b.varOff = append(b.varOff, vd.i)
+	b.varOff = append(b.varOff, len(b.vars))
 	return b, nil
 }
 
@@ -565,10 +413,10 @@ func inflate(comp []byte, n int) ([]byte, error) {
 // inflated column) to dst. The block was validated at decode time, so
 // the walk cannot fail.
 func (b *blockData) varsAt(i int, dst [][]byte) [][]byte {
-	d := &blockDecoder{b: b.vars, i: b.varOff[i]}
-	nv := d.uvarint()
+	d := frame.NewDecoder(b.vars[b.varOff[i]:])
+	nv := d.Uvarint()
 	for j := uint64(0); j < nv; j++ {
-		dst = append(dst, d.bytes())
+		dst = append(dst, d.Bytes())
 	}
 	return dst
 }

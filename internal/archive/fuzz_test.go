@@ -183,7 +183,10 @@ func FuzzArchiveRoundTrip(f *testing.F) {
 			}
 			entries = append(entries, footerEntry{service: b.service, count: b.count, minTS: b.minTS, maxTS: b.maxTS, off: int64(off), len: int64(len(buf) - off)})
 		}
-		data := appendFooter(buf, bucket, entries)
+		data, err := appendFooter(buf, bucket, entries)
+		if err != nil {
+			t.Fatalf("encode footer: %v", err)
+		}
 		footer, decoded, err := decodeSegment(data, false)
 		if err != nil {
 			t.Fatalf("decode of a freshly encoded segment: %v", err)
@@ -237,7 +240,11 @@ func validSegment(tb testing.TB) ([]byte, []footerEntry) {
 		}
 		entries = append(entries, footerEntry{service: svc, count: b.count, minTS: b.minTS, maxTS: b.maxTS, off: int64(off), len: int64(len(buf) - off)})
 	}
-	return appendFooter(buf, 0, entries), entries
+	data, err := appendFooter(buf, 0, entries)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data, entries
 }
 
 // segmentWithFooter re-footers the blocks of a valid segment with
@@ -247,7 +254,11 @@ func segmentWithFooter(tb testing.TB, edit func([]footerEntry)) []byte {
 	data, entries := validSegment(tb)
 	last := entries[len(entries)-1]
 	edit(entries)
-	return appendFooter(append([]byte(nil), data[:last.off+last.len]...), 0, entries)
+	data, err := appendFooter(append([]byte(nil), data[:last.off+last.len]...), 0, entries)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 // FuzzArchiveSegmentReplay feeds arbitrary bytes to the archive as a

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
@@ -441,7 +442,7 @@ func (c *compiledQuery) scanMemBlock(b *memBlock, out []Entry, scratch [][]byte)
 	}
 	ts := b.bucket * int64(1e9)
 	tsCol, patCol := b.ts, b.pat
-	vd := &blockDecoder{b: b.vars}
+	vd := frame.NewDecoder(b.vars)
 	for i := 0; i < b.count; i++ {
 		delta, n := binary.Varint(tsCol)
 		tsCol = tsCol[n:]
@@ -449,9 +450,9 @@ func (c *compiledQuery) scanMemBlock(b *memBlock, out []Entry, scratch [][]byte)
 		idx, n := binary.Uvarint(patCol)
 		patCol = patCol[n:]
 		scratch = scratch[:0]
-		nv := vd.uvarint()
+		nv := vd.Uvarint()
 		for j := uint64(0); j < nv; j++ {
-			scratch = append(scratch, vd.bytes())
+			scratch = append(scratch, vd.Bytes())
 		}
 		if ts < c.fromNS || ts >= c.toNS {
 			continue

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
@@ -16,10 +17,7 @@ import (
 // frame's length:
 //
 //	block frame 0 … block frame N-1     (codec.go's block frames)
-//	0x01                                footer frame marker
-//	uvarint                             footer payload length
-//	4 bytes, little-endian              CRC-32C of the footer payload
-//	footer payload
+//	footer frame                        an internal/frame frame, marker 0x01
 //	4 bytes, little-endian              footer frame length
 //
 // The footer payload is
@@ -104,24 +102,28 @@ func parseSegName(name string) (bucket, seq int64, legacy, ok bool) {
 }
 
 // appendFooter appends the footer frame and the trailer for blocks,
-// which must tile buf[:len(buf)] from offset 0.
-func appendFooter(buf []byte, bucket int64, blocks []footerEntry) []byte {
+// which must tile buf[:len(buf)] from offset 0. On error buf is returned
+// at its original length.
+func appendFooter(buf []byte, bucket int64, blocks []footerEntry) ([]byte, error) {
 	start := len(buf)
-	buf = append(buf, zeroBlockHeader[:]...)
+	buf = frame.Begin(buf)
 	buf = append(buf, footerVersion)
 	buf = binary.AppendVarint(buf, bucket)
 	buf = binary.AppendUvarint(buf, uint64(len(blocks)))
 	base := bucket * int64(1e9)
 	for _, e := range blocks {
-		buf = appendString(buf, e.service)
+		buf = frame.AppendString(buf, e.service)
 		buf = binary.AppendUvarint(buf, uint64(e.count))
 		buf = binary.AppendUvarint(buf, uint64(e.minTS-base))
 		buf = binary.AppendUvarint(buf, uint64(e.maxTS-e.minTS))
 		buf = binary.AppendUvarint(buf, uint64(e.off))
 		buf = binary.AppendUvarint(buf, uint64(e.len))
 	}
-	buf = closeFrame(buf, start, footerMarker)
-	return binary.LittleEndian.AppendUint32(buf, uint32(len(buf)-start))
+	buf, err := frame.End(buf, start, footerMarker)
+	if err != nil {
+		return buf, fmt.Errorf("archive: seal segment footer: %w", err)
+	}
+	return binary.LittleEndian.AppendUint32(buf, uint32(len(buf)-start)), nil
 }
 
 // footerBounds reads a segment's trailer: the footer frame occupies
@@ -141,37 +143,37 @@ func footerBounds(trailer []byte, size int64) (start int64, err error) {
 // start of the segment, and checks that its block ranges tile
 // [0, start) exactly.
 func parseFooter(data []byte, start int64) (*segFooter, error) {
-	payload, err := frameOf(data, footerMarker)
+	payload, err := split(data, footerMarker)
 	if err != nil {
 		return nil, err
 	}
-	d := &blockDecoder{b: payload}
-	if v := d.byte(); d.err == nil && v != footerVersion {
-		d.fail("unknown footer version")
+	d := frame.NewDecoder(payload)
+	if v := d.Byte(); d.Reason() == "" && v != footerVersion {
+		d.Fail("unknown footer version")
 	}
-	f := &segFooter{bucket: d.svarint()}
-	n := d.uvarint()
-	if d.err == nil && n == 0 {
-		d.fail("segment holds no blocks")
+	f := &segFooter{bucket: d.Svarint()}
+	n := d.Uvarint()
+	if d.Reason() == "" && n == 0 {
+		d.Fail("segment holds no blocks")
 	}
-	if n > uint64(len(d.b)-d.i) {
+	if n > uint64(d.Len()) {
 		// Every entry costs several payload bytes; a count past the
 		// remaining length is garbage and must not size a make().
-		d.fail("block count exceeds footer")
+		d.Fail("block count exceeds footer")
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := decodeErr(&d); err != nil {
+		return nil, err
 	}
 	base := f.bucket * int64(1e9)
 	f.blocks = make([]footerEntry, 0, n)
 	var next int64
 	for range n {
-		e := footerEntry{service: d.str(), count: int(d.uvarint())}
-		e.minTS = base + int64(d.uvarint())
-		e.maxTS = e.minTS + int64(d.uvarint())
-		off, length := d.uvarint(), d.uvarint()
-		if d.err != nil {
-			return nil, d.err
+		e := footerEntry{service: d.Str(), count: int(d.Uvarint())}
+		e.minTS = base + int64(d.Uvarint())
+		e.maxTS = e.minTS + int64(d.Uvarint())
+		off, length := d.Uvarint(), d.Uvarint()
+		if err := decodeErr(&d); err != nil {
+			return nil, err
 		}
 		if off != uint64(next) {
 			return nil, corrupt("block range does not follow the previous one")
@@ -183,7 +185,7 @@ func parseFooter(data []byte, start int64) (*segFooter, error) {
 		next += e.len
 		f.blocks = append(f.blocks, e)
 	}
-	if d.i != len(d.b) {
+	if d.Len() != 0 {
 		return nil, corrupt("trailing footer bytes")
 	}
 	if next != start {

@@ -75,7 +75,7 @@ type BatchSource interface {
 // Reader pulls batches of records from a stream.
 type Reader struct {
 	opts      Options
-	lr        *lineReader
+	lr        *LineReader
 	err       error
 	lines     int64
 	records   int64
@@ -101,7 +101,7 @@ func NewReader(r io.Reader, opts Options) *Reader {
 	if m == nil {
 		m = obs.New()
 	}
-	return &Reader{opts: opts, lr: newLineReader(r, opts.MaxLineBytes), services: ServiceTable{}, m: m}
+	return &Reader{opts: opts, lr: NewLineReader(r, opts.MaxLineBytes), services: ServiceTable{}, m: m}
 }
 
 // NextBatch returns the next batch of records. The final batch may be
@@ -119,7 +119,7 @@ func (r *Reader) NextBatch() ([]Record, error) {
 	start := time.Now()
 	batch := make([]Record, 0, r.opts.BatchSize)
 	for len(batch) < r.opts.BatchSize {
-		line, tooLong, err := r.lr.next()
+		line, tooLong, err := r.lr.Next()
 		if tooLong {
 			// One huge line must not kill the stream: discard it, count
 			// it, and continue at the next line (unless strict).

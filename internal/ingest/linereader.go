@@ -5,19 +5,23 @@ import (
 	"io"
 )
 
-// lineReader yields newline-terminated lines from a stream with a hard
+// LineReader yields newline-terminated lines from a stream with a hard
 // per-line byte bound. Unlike bufio.Scanner — whose ErrTooLong is
 // terminal — a line exceeding the bound is not fatal: the overlong line
 // is discarded (a truncated prefix is kept for error context) and
 // scanning resumes at the next line. A production ingester must survive
-// one absurd message in a multi-day stream.
-type lineReader struct {
+// one absurd message in a multi-day stream. The JSON-lines Reader and
+// the syslog TCP listener both read lines through it.
+type LineReader struct {
 	br  *bufio.Reader
 	max int
 	buf []byte
 }
 
-func newLineReader(r io.Reader, max int) *lineReader {
+// NewLineReader returns a LineReader over r that bounds each line at
+// max bytes. It buffers min(max, 64 KiB) bytes of r, at least 16, so a
+// line longer than the buffer is only accumulated up to the bound.
+func NewLineReader(r io.Reader, max int) *LineReader {
 	size := 64 * 1024
 	if max < size {
 		size = max
@@ -25,17 +29,22 @@ func newLineReader(r io.Reader, max int) *lineReader {
 	if size < 16 {
 		size = 16
 	}
-	return &lineReader{br: bufio.NewReaderSize(r, size), max: max}
+	return &LineReader{br: bufio.NewReaderSize(r, size), max: max}
 }
 
-// next returns the next line without its trailing newline (a trailing
+// Stream returns the buffered stream lines are read from. A caller that
+// interleaves another framing with lines reads it from this same
+// buffer, so neither reader loses bytes the other has buffered.
+func (lr *LineReader) Stream() *bufio.Reader { return lr.br }
+
+// Next returns the next line without its trailing newline (a trailing
 // \r is stripped too, matching bufio.ScanLines). When the line exceeded
 // the bound, tooLong is true and line holds only a truncated prefix of
 // the discarded content. err is io.EOF once the stream is exhausted, or
 // the underlying read error; a line and an error are never returned
 // together except when tooLong reports the discarded line that the
 // error interrupted.
-func (lr *lineReader) next() (line []byte, tooLong bool, err error) {
+func (lr *LineReader) Next() (line []byte, tooLong bool, err error) {
 	lr.buf = lr.buf[:0]
 	for {
 		chunk, err := lr.br.ReadSlice('\n')
@@ -67,7 +76,7 @@ func (lr *lineReader) next() (line []byte, tooLong bool, err error) {
 // discard consumes the remainder of an oversized line, up to and
 // including its newline. io.EOF inside the discarded line is absorbed
 // (the caller reports tooLong now and sees io.EOF on the next call).
-func (lr *lineReader) discard() error {
+func (lr *LineReader) discard() error {
 	for {
 		_, err := lr.br.ReadSlice('\n')
 		switch err {
@@ -83,7 +92,7 @@ func (lr *lineReader) discard() error {
 
 // prefix returns the start of the oversized line, bounded for error
 // context.
-func (lr *lineReader) prefix() []byte {
+func (lr *LineReader) prefix() []byte {
 	if len(lr.buf) > rawSample {
 		return lr.buf[:rawSample]
 	}

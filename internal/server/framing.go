@@ -3,6 +3,8 @@ package server
 import (
 	"bufio"
 	"io"
+
+	"repro/internal/ingest"
 )
 
 // frameReader extracts syslog messages from a TCP stream, supporting
@@ -15,21 +17,18 @@ import (
 //
 // Frames larger than max are consumed and discarded (tooLong=true) so
 // one absurd sender cannot park the connection or the daemon's memory.
+// LF frames are read by an ingest.LineReader; octet-counted frames are
+// read from the same buffered stream, so the two framings stay in step.
 type frameReader struct {
-	br  *bufio.Reader
-	max int
-	buf []byte
+	lines *ingest.LineReader
+	br    *bufio.Reader // lines' stream
+	max   int
+	buf   []byte
 }
 
 func newFrameReader(r io.Reader, max int) *frameReader {
-	size := 64 * 1024
-	if max < size {
-		size = max
-	}
-	if size < 16 {
-		size = 16
-	}
-	return &frameReader{br: bufio.NewReaderSize(r, size), max: max}
+	lines := ingest.NewLineReader(r, max)
+	return &frameReader{lines: lines, br: lines.Stream(), max: max}
 }
 
 // next returns the next frame. tooLong reports an oversized frame that
@@ -46,7 +45,13 @@ func (f *frameReader) next() (frame []byte, tooLong bool, err error) {
 	if err := f.br.UnreadByte(); err != nil {
 		return nil, false, err
 	}
-	return f.nextLine()
+	line, tooLong, err := f.lines.Next()
+	if tooLong {
+		return nil, true, err
+	}
+	// A line of nothing but line-end bytes and NULs is an empty frame,
+	// which the listener skips.
+	return trimTrailingEOL(line), false, err
 }
 
 // nextOctetCounted reads "MSG-LEN SP MSG" with the first length digit
@@ -81,47 +86,6 @@ func (f *frameReader) nextOctetCounted(n int) ([]byte, bool, error) {
 		return nil, false, f.eofMidFrame(err)
 	}
 	return f.buf, false, nil
-}
-
-// nextLine reads one LF-terminated message, discarding it if it
-// exceeds the bound (like the ingest line reader).
-func (f *frameReader) nextLine() ([]byte, bool, error) {
-	f.buf = f.buf[:0]
-	for {
-		chunk, err := f.br.ReadSlice('\n')
-		f.buf = append(f.buf, chunk...)
-		if err == bufio.ErrBufferFull {
-			if len(f.buf) > f.max {
-				return nil, true, f.discardLine()
-			}
-			continue
-		}
-		if err != nil && err != io.EOF {
-			return nil, false, err
-		}
-		if len(f.buf) == 0 {
-			return nil, false, io.EOF
-		}
-		line := trimTrailingEOL(f.buf)
-		if len(line) > f.max {
-			return nil, true, nil
-		}
-		return line, false, nil
-	}
-}
-
-func (f *frameReader) discardLine() error {
-	for {
-		_, err := f.br.ReadSlice('\n')
-		switch err {
-		case nil, io.EOF:
-			return nil
-		case bufio.ErrBufferFull:
-			continue
-		default:
-			return err
-		}
-	}
 }
 
 // eofMidFrame upgrades an EOF inside a frame to a framing error: the

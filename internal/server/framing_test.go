@@ -103,6 +103,22 @@ func TestFrameReaderOversizedOctetFrameDiscarded(t *testing.T) {
 	}
 }
 
+// TestFrameReaderOversizedLineBetweenOctetFrames checks that the line
+// reader and the octet-counting path read one buffered stream: an
+// oversized LF line, longer than the buffer, is discarded between two
+// octet-counted frames without either path losing the other's bytes.
+func TestFrameReaderOversizedLineBetweenOctetFrames(t *testing.T) {
+	huge := "<13>" + strings.Repeat("w", 300)
+	in := octetFrame("<13>before") + huge + "\n" + octetFrame("<13>after")
+	frames, tooLong := collectFrames(t, in, 64)
+	if tooLong != 1 {
+		t.Errorf("tooLong = %d, want 1", tooLong)
+	}
+	if len(frames) != 2 || frames[0] != "<13>before" || frames[1] != "<13>after" {
+		t.Fatalf("frames = %q", frames)
+	}
+}
+
 func TestFrameReaderExactMaxLine(t *testing.T) {
 	line := "<13>" + strings.Repeat("z", 60) // 64 bytes == max
 	frames, tooLong := collectFrames(t, line+"\n", 64)

@@ -1,9 +1,10 @@
 // Package codec is the store's record-codec layer: it owns the wire
 // encoding of every byte the pattern database writes to disk.
 //
-// The store writes one journal format, v2: CRC32-framed, length-prefixed
-// binary records with varint integers and unix-time encodings, appended
-// into a caller-owned buffer without allocating (AppendRecord).
+// The store writes one journal format, v2: binary records with varint
+// integers and unix-time encodings, each in one internal/frame
+// checksummed frame, appended into a caller-owned buffer without
+// allocating (AppendRecord).
 //
 // Reader also replays v1, the original line-oriented JSON format (one
 // object per newline-terminated line) that databases written before v2

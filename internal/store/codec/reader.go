@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"io"
+
+	"repro/internal/frame"
 )
 
 // Reader decodes a journal stream record by record, auto-detecting the
@@ -84,13 +85,16 @@ func (r *Reader) nextV1(rec *Record) error {
 }
 
 // nextV2 decodes one v2 frame; the marker byte is already consumed.
+// The header is read off the stream here rather than through
+// frame.Split, since the frame's length is unknown until its prefix is
+// read; the limit and the checksum are frame's.
 func (r *Reader) nextV2(rec *Record) error {
 	start := r.off - 1
 	n, err := r.readUvarint()
 	if err != nil {
 		return &CorruptError{Off: start, Reason: "bad frame length", Err: err}
 	}
-	if n > v2MaxPayload {
+	if n > frame.MaxPayload {
 		return &CorruptError{Off: start, Reason: "frame length exceeds limit"}
 	}
 	var crcb [4]byte
@@ -106,7 +110,7 @@ func (r *Reader) nextV2(rec *Record) error {
 		return &CorruptError{Off: start, Reason: "frame payload truncated", Err: err}
 	}
 	r.off += int64(n)
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(crcb[:]); got != want {
+	if got, want := frame.Sum(payload), binary.LittleEndian.Uint32(crcb[:]); got != want {
 		return &CorruptError{Off: start, Reason: "frame checksum mismatch"}
 	}
 	if err := decodeV2Payload(payload, rec); err != nil {

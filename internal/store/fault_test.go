@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"strings"
 	"testing"
@@ -94,7 +95,8 @@ func TestFlushSurfacesWriteAndSyncFailures(t *testing.T) {
 
 // TestCompactSurfacesSnapshotFailure checks that a snapshot that cannot
 // be written (ENOSPC) fails Compact, counts an I/O error, leaves the old
-// snapshot in place, and the store recovers once space is available.
+// snapshot in place and no partial temporary file behind, and the store
+// recovers once space is available.
 func TestCompactSurfacesSnapshotFailure(t *testing.T) {
 	f := vfs.NewFault()
 	st := openFault(t, f, 2)
@@ -114,6 +116,9 @@ func TestCompactSurfacesSnapshotFailure(t *testing.T) {
 	}
 	if m.StoreIOErrors.Value() == 0 {
 		t.Fatal("snapshot failure not counted in StoreIOErrors")
+	}
+	if err := f.Stat("db/patterns.json.tmp"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Stat(patterns.json.tmp) after failed Compact = %v, want ErrNotExist", err)
 	}
 
 	f.SetDiskBudget(-1)

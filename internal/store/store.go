@@ -927,23 +927,8 @@ func (s *Store) compactAllLocked() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	tmp := filepath.Join(s.dir, snapshotFile+".tmp")
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return s.countIO(fmt.Errorf("store: write snapshot: %w", err))
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return s.countIO(fmt.Errorf("store: write snapshot: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return s.countIO(fmt.Errorf("store: sync snapshot: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return s.countIO(fmt.Errorf("store: close snapshot: %w", err))
-	}
-	if err := s.fs.Rename(tmp, filepath.Join(s.dir, snapshotFile)); err != nil {
-		return s.countIO(fmt.Errorf("store: commit snapshot: %w", err))
+	if err := vfs.Publish(s.fs, tmp, filepath.Join(s.dir, snapshotFile), data); err != nil {
+		return s.countIO(fmt.Errorf("store: publish snapshot: %w", err))
 	}
 	// Snapshot durable: records written from here on belong to the new
 	// epoch, and all journal content from before it — including anything

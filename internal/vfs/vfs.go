@@ -127,3 +127,36 @@ func (OS) Rename(oldname, newname string) error { return os.Rename(oldname, newn
 
 // Remove implements FS.
 func (OS) Remove(name string) error { return os.Remove(name) }
+
+// Publish makes data durable under final: it is written to tmp, synced,
+// closed, then renamed over final, so a reader or a crash sees the old
+// file or the whole new one, never a part. On any failure tmp is
+// removed best-effort, so a failed publish (a full disk, say) leaves no
+// partial file taking up space.
+func Publish(fsys FS, tmp, final string, data []byte) error {
+	err := write(fsys, tmp, data)
+	if err == nil {
+		err = fsys.Rename(tmp, final)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp)
+	}
+	return err
+}
+
+// write creates name and writes and syncs data to it.
+func write(fsys FS, name string, data []byte) error {
+	f, err := fsys.Create(name)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
