@@ -104,6 +104,9 @@ type Analyzer struct {
 	// every message, and interning makes the second and later sightings
 	// allocation free (map lookup keyed by string(span) does not copy).
 	lit map[string]string
+	// slab hands out trie nodes from chunks, one allocation per chunk
+	// instead of one per node: the trie lives as long as the analyzer.
+	slab []node
 }
 
 // New returns an analyzer for one service's messages.
@@ -144,18 +147,60 @@ type nodeKey struct {
 // anything beyond is simply "many" and tracking stops (overflow).
 const maxTrackedValues = 8
 
+// indexMinChildren is the child count past which a node indexes its
+// children by key. Below it a linear scan of the slice beats hashing the
+// key (most trie nodes have one to a few children); above it, a position
+// holding many distinct values, lookup stays O(1).
+const indexMinChildren = 8
+
 type node struct {
-	key         nodeKey
-	children    map[nodeKey]*node
-	msgs        int64 // messages passing through this node
-	spaceBefore bool
-	kvKey       string
+	key nodeKey
+	// children are kept in insertion order; index maps their keys once
+	// there are more than indexMinChildren of them, and is nil before.
+	children []*node
+	index    map[nodeKey]*node
+	msgs     int64 // messages passing through this node
+	kvKey    string
 	// values counts messages per observed value at a variable node, up
 	// to maxTrackedValues distinct values; overflow marks a blown census.
-	values   map[string]int64
-	overflow bool
+	values map[string]int64
 	// leaf data
-	examples []string
+	examples    []string
+	spaceBefore bool
+	overflow    bool
+	// gone marks a node collapse has folded into a variable sibling, for
+	// the compaction of its parent's children.
+	gone bool
+}
+
+// child returns n's child with key k, or nil.
+//
+//seqrtg:noalloc
+func (n *node) child(k nodeKey) *node {
+	if n.index != nil {
+		return n.index[k]
+	}
+	for _, c := range n.children {
+		if c.key == k {
+			return c
+		}
+	}
+	return nil
+}
+
+// addChild appends c, whose key must not be among n's children yet.
+func (n *node) addChild(c *node) {
+	n.children = append(n.children, c)
+	if n.index != nil {
+		n.index[c.key] = c
+		return
+	}
+	if len(n.children) > indexMinChildren {
+		n.index = make(map[nodeKey]*node, 2*len(n.children))
+		for _, x := range n.children {
+			n.index[x.key] = x
+		}
+	}
 }
 
 // Add inserts one tokenized message. Tokens must already be enriched
@@ -169,22 +214,21 @@ func (a *Analyzer) Add(tokens []token.Token, raw string) {
 	}
 	root := a.tries[len(tokens)]
 	if root == nil {
-		root = &node{children: make(map[nodeKey]*node)}
+		root = a.newNode()
 		a.tries[len(tokens)] = root
-		a.nodes++
 	}
 	root.msgs++
 	cur := root
 	for _, t := range tokens {
 		k := a.keyFor(t)
-		child := cur.children[k]
+		child := cur.child(k)
 		if child == nil {
-			child = &node{key: k, children: make(map[nodeKey]*node), spaceBefore: t.SpaceBefore, kvKey: t.Key()}
-			cur.children[k] = child
-			a.nodes++
+			child = a.newNode()
+			child.key, child.spaceBefore, child.kvKey = k, t.SpaceBefore, t.Key()
+			cur.addChild(child)
 		}
 		child.msgs++
-		if k.v {
+		if child.key.v {
 			child.observeSpan(t.Span, 1)
 			if !t.KeyEquals(child.kvKey) {
 				child.kvKey = "" // inconsistent keys: drop the name hint
@@ -192,9 +236,29 @@ func (a *Analyzer) Add(tokens []token.Token, raw string) {
 		}
 		cur = child
 	}
+	if cur.examples == nil {
+		cur.examples = make([]string, 0, patterns.MaxExamples)
+	}
 	if len(cur.examples) < patterns.MaxExamples && !contains(cur.examples, raw) {
 		cur.examples = append(cur.examples, raw)
 	}
+}
+
+// Node chunks start small, so the many services with a handful of
+// messages stay cheap, and double up to maxNodeChunk.
+const (
+	minNodeChunk = 16
+	maxNodeChunk = 512
+)
+
+// newNode returns a zeroed node from the current chunk.
+func (a *Analyzer) newNode() *node {
+	if len(a.slab) == cap(a.slab) {
+		a.slab = make([]node, 0, min(max(2*cap(a.slab), minNodeChunk), maxNodeChunk))
+	}
+	a.slab = a.slab[:len(a.slab)+1]
+	a.nodes++
+	return &a.slab[len(a.slab)-1]
 }
 
 func (a *Analyzer) keyFor(t token.Token) nodeKey {
@@ -278,7 +342,8 @@ func contains(s []string, v string) bool {
 // accepting messages afterwards, but Patterns must not run concurrently
 // with Add.
 func (a *Analyzer) Patterns(now time.Time) []*patterns.Pattern {
-	var out []*patterns.Pattern
+	m := newMerger(a.cfg)
+	ex := &extractor{a: a, now: now}
 	counts := make([]int, 0, len(a.tries))
 	for c := range a.tries {
 		counts = append(counts, c)
@@ -290,17 +355,18 @@ func (a *Analyzer) Patterns(now time.Time) []*patterns.Pattern {
 		// position lines up the siblings of the next one (messages with
 		// several independent identifiers need one pass per position).
 		for pass := 0; pass < maxMergePasses; pass++ {
-			m := &merger{cfg: a.cfg, sigs: make(map[*node]uint64), shapes: make(map[*node]uint64)}
-			m.merge(root)
+			m.reset()
+			m.mergeAt(root, 0)
 			if !m.changed {
 				break
 			}
 		}
-		ex := &extractor{a: a, now: now}
-		ex.walk(root, nil)
-		out = append(out, ex.out...)
+		if cap(ex.path) < c {
+			ex.path = make([]*node, 0, c)
+		}
+		ex.walk(root, ex.path[:0])
 	}
-	return out
+	return ex.out
 }
 
 // maxMergePasses bounds fixpoint iteration; one pass resolves one level
@@ -312,6 +378,8 @@ type extractor struct {
 	now     time.Time
 	out     []*patterns.Pattern
 	curPath []*node // the root-to-leaf path of the pattern being emitted
+	path    []*node // walk scratch, reused across tries
+	elems   []patterns.Element
 }
 
 // maxSplitVariants bounds the cross product of semi-constant splitting so
@@ -323,7 +391,10 @@ func (ex *extractor) walk(n *node, path []*node) {
 		ex.emit(path)
 		return
 	}
-	for _, child := range sortedChildren(n) {
+	// Child order carries no meaning in the trie, so the children are
+	// sorted in place for a deterministic pattern order.
+	slices.SortFunc(n.children, compareChildren)
+	for _, child := range n.children {
 		ex.walk(child, append(path, child))
 	}
 }
@@ -348,10 +419,11 @@ func (ex *extractor) element(n *node) patterns.Element {
 func (ex *extractor) emit(path []*node) {
 	ex.curPath = path
 	leaf := path[len(path)-1]
-	elems := make([]patterns.Element, len(path))
-	for i, n := range path {
-		elems[i] = ex.element(n)
+	elems := ex.elems[:0]
+	for _, n := range path {
+		elems = append(elems, ex.element(n))
 	}
+	ex.elems = elems
 
 	// Semi-constant splitting (§VI future work): positions whose full
 	// value census is small expand into one pattern per value.
@@ -454,15 +526,6 @@ func sortedValues(values map[string]int64) []string {
 		out = append(out, v)
 	}
 	sort.Strings(out)
-	return out
-}
-
-func sortedChildren(n *node) []*node {
-	out := make([]*node, 0, len(n.children))
-	for _, c := range n.children {
-		out = append(out, c)
-	}
-	slices.SortFunc(out, compareChildren)
 	return out
 }
 

@@ -259,6 +259,42 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	}
 }
 
+// TestWideFanoutCollapses feeds one position 20 000 distinct literal
+// values, each followed by a distinct literal of its own: no two tails
+// line up, so only the high-cardinality fallback can merge the position,
+// collapsing 20 000 siblings at once: the case for which collapsed
+// siblings are removed in one pass over their parent's children.
+func TestWideFanoutCollapses(t *testing.T) {
+	const n = 20000
+	// letters spells i in the letters g..z, which no scanner rule reads
+	// as a number, hex string or host.
+	letters := func(i int) string {
+		var b []byte
+		for j := 0; j < 4; j++ {
+			b = append(b, byte('g'+i%20))
+			i /= 20
+		}
+		return string(b)
+	}
+	a := New("svc", DefaultConfig())
+	var s token.Scanner
+	for i := 0; i < n; i++ {
+		m := "lease k" + letters(i) + " granted to w" + letters(n-1-i)
+		a.Add(token.Enrich(s.ScanCopy(m)), m)
+	}
+	got := a.Patterns(testNow)
+	if len(got) != 1 {
+		t.Fatalf("want 1 pattern, got %d: %v", len(got), texts(got[:min(len(got), 5)]))
+	}
+	p := got[0]
+	if p.Count != n {
+		t.Errorf("count = %d, want %d", p.Count, n)
+	}
+	if e := p.Elements[1]; !e.Var || e.Type != token.Literal || e.Name != "string" {
+		t.Errorf("position 1 = %+v in %q, want %%string%%", e, p.Text())
+	}
+}
+
 func BenchmarkAnalyze10k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	msgs := make([]string, 10000)

@@ -1,9 +1,8 @@
 package analyzer
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/token"
 )
@@ -18,16 +17,47 @@ import (
 // the same parent and child nodes" — is collapsed into a single "string"
 // variable node when it has at least MinDistinctValues members covering at
 // least MinGroupMessages messages.
+//
+// One merger serves a whole Patterns call. Its memo map is cleared
+// between fixpoint passes and its buffers are reused from node to node,
+// so once they have grown a pass allocates nothing per node; only
+// collapsing allocates (the variable node, its census, moved children).
 
 type merger struct {
 	cfg     Config
-	sigs    map[*node]uint64 // value-sensitive subtree signatures
-	shapes  map[*node]uint64 // value-insensitive (shape) signatures
+	shapes  map[*node]uint64 // value-insensitive subtree signatures, per pass
 	changed bool
+
+	keys    []uint64     // childKeySet: hashed child keys of one node
+	entries []shapeEntry // shape: (key, subtree) hashes, used as a stack
+	members []member     // literal children of one node with their signature
+	groups  []group      // runs of members that qualify for collapse
 }
 
-func (m *merger) merge(n *node) {
-	m.mergeAt(n, 0)
+type shapeEntry struct{ key, sub uint64 }
+
+// member is a literal child and the signature it is grouped by.
+type member struct {
+	sig uint64
+	n   *node
+}
+
+// group is the run members[lo:hi] of equal signature; first is its first
+// member, by which groups are collapsed in order.
+type group struct {
+	lo, hi int
+	first  *node
+}
+
+func newMerger(cfg Config) *merger {
+	return &merger{cfg: cfg, shapes: make(map[*node]uint64)}
+}
+
+// reset starts a fixpoint pass: the trie changed, so every memoized
+// signature is stale.
+func (m *merger) reset() {
+	clear(m.shapes)
+	m.changed = false
 }
 
 func (m *merger) mergeAt(n *node, depth int) {
@@ -46,83 +76,129 @@ func (m *merger) mergeAt(n *node, depth int) {
 	// The first message token is exempt: leading words discriminate
 	// events ("Starting ..." vs "Stopping ...") and only the
 	// high-cardinality fallback below may turn them into a variable.
-	if depth > 0 {
-		groups := make(map[uint64][]*node)
-		for k, c := range n.children {
-			if k.v || k.typ != token.Literal {
-				continue
+	if depth > 0 && literalChildren(n) >= m.cfg.MinDistinctValues {
+		m.members = m.members[:0]
+		for _, c := range n.children {
+			if !c.key.v {
+				m.members = append(m.members, member{sig: m.childKeySet(c), n: c})
 			}
-			s := m.childKeySet(c)
-			groups[s] = append(groups[s], c)
 		}
-		for _, g := range groups {
-			if len(g) < m.cfg.MinDistinctValues {
-				continue
-			}
-			var total int64
-			for _, c := range g {
-				total += c.msgs
-			}
-			if total < int64(m.cfg.MinGroupMessages) {
-				continue
-			}
-			m.collapse(n, g)
-		}
+		m.collapseGroups(n, false)
 	}
 
 	// High-cardinality fallback: when a position holds many distinct,
 	// rarely-repeating values of the same shape (independent identifiers
 	// such as BGL location codes), the exact-tail criterion can never
 	// line up; the cardinality itself marks the position as variable.
-	byShape := make(map[uint64][]*node)
-	for k, c := range n.children {
-		if k.v || k.typ != token.Literal {
-			continue
+	//
+	// Every literal child's shape is taken, even where too few children
+	// remain to form a group. That is no rule of the algorithm: it keeps a
+	// known-stale memo only to stay output-equivalent with the map-based
+	// code this replaced. shape memoizes a subtree the first time a pass
+	// asks for it; collapse and combine later in the same pass reshape
+	// memoized subtrees, and ancestors then group by the old signature.
+	// Hashing fresh at the grouping sites reproduced testdata/mined.golden
+	// too (the FOUND note on shape in CHANGES.md), so a later change may
+	// do that and drop this unconditional pass.
+	m.members = m.members[:0]
+	for _, c := range n.children {
+		if !c.key.v {
+			m.members = append(m.members, member{sig: m.shape(c), n: c})
 		}
-		byShape[m.shape(c)] = append(byShape[m.shape(c)], c)
 	}
-	for _, g := range byShape {
-		if len(g) < m.cfg.VariableMinValues {
-			continue
-		}
-		var total int64
-		for _, c := range g {
-			total += c.msgs
-		}
-		if float64(total)/float64(len(g)) > m.cfg.VariableMaxMeanCount {
-			continue
-		}
-		m.collapse(n, g)
+	if len(m.members) >= m.cfg.VariableMinValues {
+		m.collapseGroups(n, true)
 	}
 }
 
-// collapse merges a group of sibling literal nodes into one string
-// variable node.
-func (m *merger) collapse(n *node, g []*node) {
-	// Deterministic member order so that example selection and key hints
-	// do not depend on map iteration.
-	sort.Slice(g, func(i, j int) bool { return g[i].key.val < g[j].key.val })
-
-	vk := nodeKey{typ: token.Literal, v: true, space: g[0].key.space}
-	target := n.children[vk]
-	if target == nil {
-		target = &node{
-			key:         vk,
-			children:    make(map[nodeKey]*node),
-			spaceBefore: g[0].spaceBefore,
-			kvKey:       g[0].kvKey,
+func literalChildren(n *node) int {
+	k := 0
+	for _, c := range n.children {
+		if !c.key.v {
+			k++
 		}
-		n.children[vk] = target
 	}
-	for _, c := range g {
+	return k
+}
+
+// collapseGroups groups m.members by signature and collapses every group
+// that qualifies under the primary criterion or, with fallback, under the
+// high-cardinality one. Sorting the members by signature, then in child
+// order, forms the groups as runs with their members in a defined order;
+// the groups collapse in the order of their first members. Both orders
+// decide which examples a merged node keeps, so neither may depend on
+// insertion or map order.
+func (m *merger) collapseGroups(n *node, fallback bool) {
+	ms := m.members
+	slices.SortFunc(ms, compareMembers)
+	m.groups = m.groups[:0]
+	for lo := 0; lo < len(ms); {
+		hi := lo + 1
+		for hi < len(ms) && ms[hi].sig == ms[lo].sig {
+			hi++
+		}
+		if m.qualifies(ms[lo:hi], fallback) {
+			m.groups = append(m.groups, group{lo: lo, hi: hi, first: ms[lo].n})
+		}
+		lo = hi
+	}
+	if len(m.groups) == 0 {
+		return
+	}
+	slices.SortFunc(m.groups, compareGroups)
+	for _, g := range m.groups {
+		m.collapse(n, ms[g.lo:g.hi])
+	}
+	n.dropGone()
+}
+
+func (m *merger) qualifies(g []member, fallback bool) bool {
+	var total int64
+	for _, mb := range g {
+		total += mb.n.msgs
+	}
+	if fallback {
+		return len(g) >= m.cfg.VariableMinValues &&
+			float64(total)/float64(len(g)) <= m.cfg.VariableMaxMeanCount
+	}
+	return len(g) >= m.cfg.MinDistinctValues && total >= int64(m.cfg.MinGroupMessages)
+}
+
+// collapse merges a group of sibling literal nodes into one string
+// variable node. The members are only marked gone here; the caller
+// compacts n's children once after all its groups have collapsed, so a
+// position of thousands of values is removed in one linear pass.
+func (m *merger) collapse(n *node, g []member) {
+	first := g[0].n
+	vk := nodeKey{typ: token.Literal, v: true, space: first.key.space}
+	target := n.child(vk)
+	if target == nil {
+		target = &node{key: vk, spaceBefore: first.spaceBefore, kvKey: first.kvKey}
+		n.addChild(target)
+	}
+	for _, mb := range g {
+		c := mb.n
 		if c.kvKey != target.kvKey {
 			target.kvKey = ""
 		}
-		delete(n.children, c.key)
+		c.gone = true
 		target.observe(c.key.val, c.msgs) // census of the merged values
 		combine(target, c)
 	}
 	m.changed = true
+}
+
+// dropGone removes the children collapse marked gone, in one pass.
+func (n *node) dropGone() {
+	kept := n.children[:0]
+	for _, c := range n.children {
+		if !c.gone {
+			kept = append(kept, c)
+		} else if n.index != nil {
+			delete(n.index, c.key)
+		}
+	}
+	n.children = kept
 }
 
 // combine unions src into dst, aligning children by key recursively.
@@ -145,11 +221,11 @@ func combine(dst, src *node) {
 			dst.examples = append(dst.examples, x)
 		}
 	}
-	for k, sc := range src.children {
-		if dc, ok := dst.children[k]; ok {
+	for _, sc := range src.children {
+		if dc := dst.child(sc.key); dc != nil {
 			combine(dc, sc)
 		} else {
-			dst.children[k] = sc
+			dst.addChild(sc)
 		}
 	}
 }
@@ -157,88 +233,104 @@ func combine(dst, src *node) {
 const cap3 = 3
 
 // childKeySet hashes the immediate child keys of n (one level only, the
-// paper's "same child nodes" criterion). Memoized per pass.
+// paper's "same child nodes" criterion) as a multiset: the key hashes
+// are sorted before they are folded together.
 func (m *merger) childKeySet(n *node) uint64 {
-	if s, ok := m.sigs[n]; ok {
-		return s
+	keys := m.keys[:0]
+	for _, c := range n.children {
+		keys = append(keys, keyHash(c.key, true))
 	}
-	reprs := make([]string, 0, len(n.children))
-	for k := range n.children {
-		reprs = append(reprs, keyRepr(k))
+	slices.Sort(keys)
+	h := uint64(fnvOffset)
+	for _, k := range keys {
+		h = mixWord(h, k)
 	}
-	sort.Strings(reprs)
-	h := fnv.New64a()
-	for _, r := range reprs {
-		h.Write([]byte(r))
-		h.Write([]byte{0})
-	}
-	s := h.Sum64()
-	m.sigs[n] = s
-	return s
+	m.keys = keys
+	return h
 }
 
-// shape is sig with literal values erased: only the token-class skeleton
-// of the subtree remains.
+// shape hashes the token-class skeleton of n's subtree — keys with their
+// literal values erased — memoized per pass. m.entries is a stack: each
+// call pushes its children's entries above those of its callers and pops
+// them before returning.
 func (m *merger) shape(n *node) uint64 {
-	return m.hashSubtree(n, m.shapes, shapeRepr)
-}
-
-func (m *merger) hashSubtree(n *node, memo map[*node]uint64, repr func(nodeKey) string) uint64 {
-	if s, ok := memo[n]; ok {
+	if s, ok := m.shapes[n]; ok {
 		return s
 	}
-	type entry struct {
-		repr string
-		sub  uint64
+	base := len(m.entries)
+	for _, c := range n.children {
+		sub := m.shape(c)
+		m.entries = append(m.entries, shapeEntry{key: keyHash(c.key, false), sub: sub})
 	}
-	entries := make([]entry, 0, len(n.children))
-	for k, c := range n.children {
-		entries = append(entries, entry{repr: repr(k), sub: m.hashSubtree(c, memo, repr)})
+	es := m.entries[base:]
+	slices.SortFunc(es, compareEntries)
+	h := uint64(fnvOffset)
+	for _, e := range es {
+		h = mixWord(mixWord(h, e.key), e.sub)
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].repr != entries[j].repr {
-			return entries[i].repr < entries[j].repr
+	m.entries = m.entries[:base]
+	m.shapes[n] = h
+	return h
+}
+
+// FNV-1a, folded inline so hashing a key needs neither a hash.Hash nor a
+// string rendering of the key.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// keyHash hashes the identity of a child key: variability, spacing, and
+// the type of a variable or, unless shape erases it, the value of a
+// literal.
+//
+//seqrtg:noalloc
+func keyHash(k nodeKey, withValue bool) uint64 {
+	h := uint64(fnvOffset)
+	if k.v {
+		h = (h ^ 'V') * fnvPrime
+	} else {
+		h = (h ^ 'L') * fnvPrime
+	}
+	if k.space {
+		h = (h ^ '_') * fnvPrime
+	} else {
+		h = (h ^ '-') * fnvPrime
+	}
+	if k.v {
+		return (h ^ uint64(k.typ)) * fnvPrime
+	}
+	if withValue {
+		for i := 0; i < len(k.val); i++ {
+			h = (h ^ uint64(k.val[i])) * fnvPrime
 		}
-		return entries[i].sub < entries[j].sub
-	})
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, e := range entries {
-		h.Write([]byte(e.repr))
-		h.Write([]byte{0})
-		binary.LittleEndian.PutUint64(buf[:], e.sub)
-		h.Write(buf[:])
 	}
-	s := h.Sum64()
-	memo[n] = s
-	return s
+	return h
 }
 
-func keyRepr(k nodeKey) string {
-	sp := "-"
-	if k.space {
-		sp = "_"
+// mixWord folds the eight bytes of w into h.
+//
+//seqrtg:noalloc
+func mixWord(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (w & 0xff)) * fnvPrime
+		w >>= 8
 	}
-	if k.v {
-		return "V" + sp + k.typ.String()
-	}
-	if k.typ == token.TailAny {
-		return "T"
-	}
-	return "L" + sp + k.val
+	return h
 }
 
-// shapeRepr erases literal values, keeping type, variability and spacing.
-func shapeRepr(k nodeKey) string {
-	sp := "-"
-	if k.space {
-		sp = "_"
+func compareMembers(x, y member) int {
+	if c := cmp.Compare(x.sig, y.sig); c != 0 {
+		return c
 	}
-	if k.v {
-		return "V" + sp + k.typ.String()
+	return compareChildren(x.n, y.n)
+}
+
+func compareGroups(x, y group) int { return compareChildren(x.first, y.first) }
+
+func compareEntries(x, y shapeEntry) int {
+	if c := cmp.Compare(x.key, y.key); c != 0 {
+		return c
 	}
-	if k.typ == token.TailAny {
-		return "T"
-	}
-	return "L" + sp
+	return cmp.Compare(x.sub, y.sub)
 }

@@ -8,7 +8,6 @@ package patterns
 import (
 	"crypto/sha1"
 	"encoding/hex"
-	"strings"
 	"time"
 
 	"repro/internal/token"
@@ -161,23 +160,27 @@ func (p *Pattern) Extract(tokens []token.Token) (map[string]string, bool) {
 //
 //	%action% from %srcip% port %srcport%
 func (p *Pattern) Text() string {
-	var b strings.Builder
+	var buf [128]byte // most texts fit, so rendering allocates only the string
+	return string(p.appendText(buf[:0]))
+}
+
+func (p *Pattern) appendText(b []byte) []byte {
 	for i, e := range p.Elements {
 		if e.SpaceBefore && i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
 		switch {
 		case e.Type == token.TailAny:
-			b.WriteString("%tailany%")
+			b = append(b, "%tailany%"...)
 		case e.Var:
-			b.WriteByte('%')
-			b.WriteString(e.Name)
-			b.WriteByte('%')
+			b = append(b, '%')
+			b = append(b, e.Name...)
+			b = append(b, '%')
 		default:
-			b.WriteString(e.Value)
+			b = append(b, e.Value...)
 		}
 	}
-	return b.String()
+	return b
 }
 
 // ComputeID derives the reproducible SHA-1 identifier from the pattern

@@ -71,7 +71,9 @@ import (
 	"path"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -796,12 +798,7 @@ func (s *Store) All() []*patterns.Pattern {
 		}
 	}
 	s.unlockAll()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Service != out[j].Service {
-			return out[i].Service < out[j].Service
-		}
-		return out[i].Text() < out[j].Text()
-	})
+	sortByText(out)
 	return out
 }
 
@@ -816,8 +813,30 @@ func (s *Store) ByService(service string) []*patterns.Pattern {
 		out = append(out, p.Clone())
 	}
 	sh.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Text() < out[j].Text() })
+	sortByText(out)
 	return out
+}
+
+// sortByText orders ps by service, then pattern text. Each text is built
+// once up front: the comparator would otherwise build two per comparison.
+func sortByText(ps []*patterns.Pattern) {
+	type keyed struct {
+		text string
+		p    *patterns.Pattern
+	}
+	ks := make([]keyed, len(ps))
+	for i, p := range ps {
+		ks[i] = keyed{text: p.Text(), p: p}
+	}
+	slices.SortFunc(ks, func(x, y keyed) int {
+		if c := strings.Compare(x.p.Service, y.p.Service); c != 0 {
+			return c
+		}
+		return strings.Compare(x.text, y.text)
+	})
+	for i, k := range ks {
+		ps[i] = k.p
+	}
 }
 
 // Services returns the distinct service names, sorted.
